@@ -24,6 +24,7 @@ from .errors import ContextTooLarge, InternalCheckError, StrataboundError
 from .modification import full_modification, parse_pair, render_trace_ascii, trace_to_json
 from .newton import NewtonPolygon, enumerate_polygons, parse_polygon, phi, polygon_to_json
 from .sequences import abs_to_json, length, minimal_abs, render_ascii
+from .weyl import resolve_budget
 
 
 class _UsageError(Exception):
@@ -39,11 +40,12 @@ def _paren(p: NewtonPolygon) -> str:
     return "+".join(f"({s.m},{s.n})" for s in p.segments)
 
 
-def _resolve_budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("STRATABOUND_BUDGET")
-    return int(env) if env else None
+def _resolve_budget(args) -> int:
+    budget = getattr(args, "budget", None)
+    if budget is None:
+        env = os.environ.get("STRATABOUND_BUDGET")
+        budget = int(env) if env else None
+    return resolve_budget(budget)
 
 
 def _cmd_abs(args) -> int:

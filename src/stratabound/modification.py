@@ -13,27 +13,26 @@ marker past a block of the order at every stage and tracking the sets
 empties; the final sequence is the full modification.  Its verdict is Generic
 when the length drops by exactly one.
 
-The sets also satisfy a one-step shortcut (the next A-set is the arrow image
-of the previous one filtered by segment and label; the next B-set likewise
-without the segment filter), exposed here as :func:`a_members_from_previous`
-/ :func:`b_members_from_previous` and checked in tests.  The positional
-definitions above are what drive the iteration: for the A-side the shortcut
-can differ on non-adjacent pairs whose marker orbit wraps early, while no
-B-side divergence is known (sweeps find none).
+Both phases run one loop on integers.  A symbol's id is its position in the
+small modification's order; pi, labels and segments are lists indexed by id,
+and the phase state is an order of ids plus the inverse array of positions,
+which a move updates only over the range it shifted.  Each stage keeps its
+order as an id tuple, and its ``sequence`` (an ABS sharing the small
+modification's bijection) is built when first read.
 
 The never-empties verdict relies on the iteration being a deterministic map
-on (current order, stage index mod marker-orbit-length): once that state
+on (current order, stage index mod marker-orbit-length): once that key
 repeats with a non-empty set, the cascade provably cycles forever.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import InternalCheckError, InvalidPair, PreconditionViolated
-from .sequences import ABS, Symbol, abs_to_json, binary_expansion, length, render_ascii, to_binary_sequence
+from .sequences import ABS, Symbol, abs_to_json, length, render_ascii, to_binary_sequence, word_length
 from .weyl import JWContext, Permutation, binary_to_jw, theta, x_element
 
 GENERIC = "Generic"
@@ -80,15 +79,43 @@ def parse_pair(text: str) -> SmallModPair:
     return SmallModPair(Symbol(r, i, 0), Symbol(q, j, 1))
 
 
+class _Ids:
+    """Integer tables of one small modification; a symbol's id is its position in ``small.order``."""
+
+    __slots__ = ("small", "pi", "label", "segment")
+
+    def __init__(self, small: ABS):
+        self.small = small
+        self.pi = [z - 1 for z in small.arrow_images()]
+        self.label = [t.label for t in small.order]
+        self.segment = [t.segment for t in small.order]
+
+    def __eq__(self, other):
+        return isinstance(other, _Ids) and self.small == other.small
+
+    def __hash__(self):
+        return hash(self.small)
+
+
 @dataclass(frozen=True)
 class Stage:
-    """One cascade stage: the sequence after this stage's move, marker, members."""
+    """One cascade stage: the order after this stage's move, marker, members.
+
+    ``order`` lists symbol ids (positions in the small modification's order);
+    ``sequence`` is that order as an ABS, built when first read.
+    """
 
     kind: str  # "A" or "B"
     index: int
-    sequence: ABS
+    order: tuple[int, ...]
     marker: Symbol
     members: tuple[Symbol, ...]  # in sequence order
+    ids: _Ids = field(repr=False)
+
+    @cached_property
+    def sequence(self) -> ABS:
+        small = self.ids.small
+        return ABS._view(tuple([small.order[t] for t in self.order]), small)
 
 
 @dataclass(frozen=True)
@@ -99,8 +126,12 @@ class ModificationTrace:
     stages: tuple[Stage, ...]
     a: int | None
     b: int | None
-    result: ABS | None
     verdict: str | None
+
+    @property
+    def result(self) -> ABS | None:
+        """The full modification: the last stage's sequence once the B-phase emptied."""
+        return self.stages[-1].sequence if self.b is not None else None
 
     def a_stages(self) -> tuple[Stage, ...]:
         return tuple(s for s in self.stages if s.kind == "A")
@@ -119,8 +150,9 @@ def small_modification(S: ABS, pair: SmallModPair) -> ABS:
     """Swap the pair in the order and exchange the two symbols' pi-images.
 
     Rewiring is sigma composed after pi, where sigma transposes the two
-    symbols: arrows into either one land on the other, and the swapped
-    symbols' own images trade places exactly when they point at each other.
+    symbols: arrows into either one land on the other (so only their two
+    preimages change), and the swapped symbols' own images trade places
+    exactly when they point at each other.
     """
     i = S.position(pair.zero)
     j = S.position(pair.one)
@@ -128,98 +160,76 @@ def small_modification(S: ABS, pair: SmallModPair) -> ABS:
         raise InvalidPair(f"pair {pair} needs the 0-symbol strictly before the 1-symbol")
     order = list(S.order)
     order[i - 1], order[j - 1] = order[j - 1], order[i - 1]
-
-    def sigma(t: Symbol) -> Symbol:
-        if t == pair.zero:
-            return pair.one
-        if t == pair.one:
-            return pair.zero
-        return t
-
-    pi = {t: sigma(S.pi(t)) for t in order}
+    pi = {t: S.pi(t) for t in order}
+    pi[S.pi_inverse(pair.zero)] = pair.one
+    pi[S.pi_inverse(pair.one)] = pair.zero
     return ABS(order, pi)
 
 
-def _orbit(S: ABS, start: Symbol) -> list[Symbol]:
-    out = [start]
-    t = S.pi(start)
-    while t != start:
-        out.append(t)
-        t = S.pi(t)
-    return out
+def _move(order: list[int], pos: list[int], sym: int, target: int, after: bool) -> None:
+    """Move id sym to just after (A-phase) or just before (B-phase) id target.
 
-
-def _a_members(current: ABS, marker: Symbol, nxt: Symbol, exclude_segment: int | None) -> tuple[Symbol, ...]:
-    pos_marker = current.position(marker)
-    pos_next = current.position(nxt)
-    return tuple(
-        t
-        for t in current.order[: pos_marker - 1]
-        if t.label == marker.label
-        and current.position(current.pi(t)) > pos_next
-        and (exclude_segment is None or t.segment != exclude_segment)
-    )
-
-
-def _b_members(current: ABS, marker: Symbol, nxt: Symbol) -> tuple[Symbol, ...]:
-    pos_marker = current.position(marker)
-    pos_next = current.position(nxt)
-    return tuple(
-        t
-        for t in current.order[pos_marker:]
-        if t.label == marker.label and current.position(current.pi(t)) < pos_next
-    )
-
-
-def _move_after(S: ABS, sym: Symbol, target: Symbol) -> ABS:
-    # invert (sym, t') for every t' with sym < t' <= target: sym lands just after target
-    i = S.position(sym)
-    j = S.position(target)
-    if i >= j:
-        raise InternalCheckError(f"move-after expects {sym!r} strictly before {target!r}")
-    order = list(S.order)
-    order.insert(j - 1, order.pop(i - 1))
-    return S.reordered(order)
-
-
-def _move_before(S: ABS, sym: Symbol, target: Symbol) -> ABS:
-    # invert (t', sym) for every t' with target <= t' < sym: sym lands just before target
-    i = S.position(sym)
-    j = S.position(target)
-    if j >= i:
-        raise InternalCheckError(f"move-before expects {target!r} strictly before {sym!r}")
-    order = list(S.order)
-    order.insert(j - 1, order.pop(i - 1))
-    return S.reordered(order)
-
-
-def a_members_from_previous(
-    S0: ABS, previous: Sequence[Symbol], marker: Symbol, excluded_segment: int
-) -> frozenset[Symbol]:
-    """One-step prediction of the next A-set: arrow images of the previous one,
-    dropping symbols of the excluded segment and label mismatches.
-
-    This shortcut agrees with the positional definition used by
-    :func:`construction_a` whenever the chosen pair sits in adjacent segments;
-    for distant pairs on short arrow orbits the two can differ (the positional
-    definition is the one that drives the iteration).
+    Moving after inverts (sym, t') for every sym < t' <= target, moving before
+    every (t', sym) with target <= t' < sym; pos is rewritten on that range only.
     """
-    return frozenset(
-        S0.pi(t)
-        for t in previous
-        if S0.pi(t).segment != excluded_segment and S0.pi(t).label == marker.label
-    )
+    i = pos[sym]
+    j = pos[target]
+    if not (i < j if after else j < i):
+        move, side = ("after", "before") if after else ("before", "after")
+        raise InternalCheckError(f"move-{move} expects id {sym} strictly {side} id {target}")
+    order.insert(j, order.pop(i))
+    for z in range(min(i, j), max(i, j) + 1):
+        pos[order[z]] = z
 
 
-def b_members_from_previous(
-    S0: ABS, previous: Sequence[Symbol], marker: Symbol
-) -> frozenset[Symbol]:
-    """One-step prediction of the next B-set: arrow images filtered by label.
+def _phase(kind: str, ids: _Ids, pair: SmallModPair, start: tuple[int, ...]) -> tuple[list[Stage], bool]:
+    """Run the A- or B-phase from the id order ``start``.
 
-    Unlike the A-side shortcut this one agrees with the positional definition
-    on every trace swept so far, adjacent or not; tests assert the agreement.
+    Returns the phase's stages (stage n holds the order after the n-th move,
+    the marker and the n-th set) and whether its (order, n mod p) key repeated
+    with a non-empty set, i.e. the phase never empties.
     """
-    return frozenset(S0.pi(t) for t in previous if S0.pi(t).label == marker.label)
+    syms = ids.small.order
+    pi, label, segment = ids.pi, ids.label, ids.segment
+    a_phase = kind == "A"
+    orbit = [ids.small.position(pair.zero if a_phase else pair.one) - 1]
+    while pi[orbit[-1]] != orbit[0]:
+        orbit.append(pi[orbit[-1]])
+    p = len(orbit)
+    order = list(start)
+    pos = [0] * len(order)
+    for z, t in enumerate(order):
+        pos[t] = z
+    cap = len(order) ** 2
+
+    stages = []
+    seen = set()
+    n = 0
+    exclude = None  # A_0 takes no segment exclusion, later A-sets drop segment q
+    while True:
+        marker = orbit[n % p]
+        lab = label[marker]
+        bound = pos[orbit[(n + 1) % p]]
+        if a_phase:
+            members = [
+                t for t in order[: pos[marker]]
+                if label[t] == lab and pos[pi[t]] > bound and segment[t] != exclude
+            ]
+            exclude = pair.one.segment
+        else:
+            members = [t for t in order[pos[marker] + 1 :] if label[t] == lab and pos[pi[t]] < bound]
+        key = tuple(order)
+        stages.append(Stage(kind, n, key, syms[marker], tuple([syms[t] for t in members]), ids))
+        if not members:
+            return stages, False
+        state = (key, n % p)
+        if state in seen:
+            return stages, True
+        seen.add(state)
+        if len(stages) > cap:
+            raise InternalCheckError(f"{kind}-phase exceeded the stage cap without a verdict")
+        n += 1
+        _move(order, pos, orbit[n % p], pi[members[-1] if a_phase else members[0]], after=a_phase)
 
 
 def construction_a(S0: ABS, pair: SmallModPair, source: ABS | None = None) -> ModificationTrace:
@@ -229,48 +239,15 @@ def construction_a(S0: ABS, pair: SmallModPair, source: ABS | None = None) -> Mo
     marker alpha_n, and A_n computed in S^(n).  Ends with a = first empty
     index, or verdict NonGenericANeverEmpty when the iteration state repeats.
     """
-    orbit = _orbit(S0, pair.zero)
-    p = len(orbit)
-    q = pair.one.segment
-    cap = len(S0) ** 2
-
-    current = S0
-    members = _a_members(current, orbit[0], orbit[1 % p], exclude_segment=None)
-    stages = [Stage("A", 0, current, orbit[0], members)]
-    seen = {(current.order, 0)}
-    n = 0
-    while members:
-        if len(stages) > cap:
-            raise InternalCheckError("A-phase exceeded the stage cap without a verdict")
-        t_max = members[-1]
-        n += 1
-        marker = orbit[n % p]
-        current = _move_after(current, marker, current.pi(t_max))
-        nxt = orbit[(n + 1) % p]
-        members = _a_members(current, marker, nxt, exclude_segment=q)
-        stages.append(Stage("A", n, current, marker, members))
-        state = (current.order, n % p)
-        if members and state in seen:
-            return ModificationTrace(
-                source=source if source is not None else S0,
-                pair=pair,
-                small=S0,
-                stages=tuple(stages),
-                a=None,
-                b=None,
-                result=None,
-                verdict=NONGENERIC_A_NEVER_EMPTY,
-            )
-        seen.add(state)
+    stages, never_empty = _phase("A", _Ids(S0), pair, tuple(range(len(S0))))
     return ModificationTrace(
         source=source if source is not None else S0,
         pair=pair,
         small=S0,
         stages=tuple(stages),
-        a=n,
+        a=None if never_empty else stages[-1].index,
         b=None,
-        result=None,
-        verdict=None,
+        verdict=NONGENERIC_A_NEVER_EMPTY if never_empty else None,
     )
 
 
@@ -280,39 +257,18 @@ def construction_b(trace: ModificationTrace) -> ModificationTrace:
         raise PreconditionViolated("B-phase needs a completed A-phase (a recorded)")
     if trace.b is not None or trace.verdict is not None:
         raise PreconditionViolated("trace already completed")
-    S0 = trace.small
-    pair = trace.pair
-    orbit = _orbit(S0, pair.one)
-    p = len(orbit)
-    cap = len(S0) ** 2
+    last = trace.stages[-1]
+    stages, never_empty = _phase("B", last.ids, trace.pair, last.order)
+    all_stages = trace.stages + tuple(stages)
+    if never_empty:
+        return replace(trace, stages=all_stages, verdict=NONGENERIC_B_NEVER_EMPTY)
 
-    current = trace.stages[-1].sequence
-    members = _b_members(current, orbit[0], orbit[1 % p])
-    stages = list(trace.stages) + [Stage("B", 0, current, orbit[0], members)]
-    seen = {(current.order, 0)}
-    n = 0
-    while members:
-        if len(stages) - len(trace.stages) > cap:
-            raise InternalCheckError("B-phase exceeded the stage cap without a verdict")
-        t_min = members[0]
-        n += 1
-        marker = orbit[n % p]
-        current = _move_before(current, marker, current.pi(t_min))
-        nxt = orbit[(n + 1) % p]
-        members = _b_members(current, marker, nxt)
-        stages.append(Stage("B", n, current, marker, members))
-        state = (current.order, n % p)
-        if members and state in seen:
-            return replace(trace, stages=tuple(stages), verdict=NONGENERIC_B_NEVER_EMPTY)
-        seen.add(state)
-
-    drop = length(trace.source) - length(current)
-    if drop < 1:
-        raise InternalCheckError(
-            f"full modification raised the length ({length(trace.source)} -> {length(current)})"
-        )
-    verdict = GENERIC if drop == 1 else NONGENERIC_LENGTH_DROP
-    return replace(trace, stages=tuple(stages), b=n, result=current, verdict=verdict)
+    before = length(trace.source)
+    after = word_length(last.ids.label[t] for t in stages[-1].order)
+    if before - after < 1:
+        raise InternalCheckError(f"full modification raised the length ({before} -> {after})")
+    verdict = GENERIC if before - after == 1 else NONGENERIC_LENGTH_DROP
+    return replace(trace, stages=all_stages, b=stages[-1].index, verdict=verdict)
 
 
 def full_modification(S: ABS, pair: SmallModPair) -> ModificationTrace:
@@ -380,25 +336,6 @@ def modification_census(max_height: int) -> list[CensusRow]:
                 CensusRow(str(polygon), pair.spec, trace.verdict, pair.zero.segment, pair.one.segment)
             )
     return rows
-
-
-def expansion_sorted_length_bound(S: ABS) -> int:
-    """Largest length over orders compatible with the expansion contract.
-
-    Any specialization order must be non-decreasing in binary expansion, so
-    sorting by (expansion value, label) with 0 before 1 on ties maximizes the
-    number of 0-before-1 pairs.  Used to confirm that never-terminating
-    cascades cannot reach length l(S) - 1.
-    """
-    ordered = sorted(S.order, key=lambda t: (binary_expansion(S, t).value, t.label))
-    zeros = 0
-    total = 0
-    for t in ordered:
-        if t.label == 0:
-            zeros += 1
-        else:
-            total += zeros
-    return total
 
 
 def specialization_to_weyl(trace: ModificationTrace, ctx: JWContext) -> tuple[Permutation, Permutation, Permutation]:

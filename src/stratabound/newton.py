@@ -25,7 +25,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CoprimalityViolation, CurtailUndefined, PreconditionViolated, SlopeOrderViolation
+from .errors import (
+    CoprimalityViolation,
+    CurtailUndefined,
+    InternalCheckError,
+    PreconditionViolated,
+    SlopeOrderViolation,
+)
 
 
 @dataclass(frozen=True)
@@ -201,7 +207,7 @@ def phi(p: NewtonPolygon) -> tuple[NewtonPolygon, tuple[str, ...]]:
         letter = "D" if current.slope(1) <= half else "C"
         current = apply_reduction(current, letter)
         word.append(letter)
-    raise AssertionError(f"phi failed to terminate on {p}; word so far {word}")
+    raise InternalCheckError(f"phi failed to terminate on {p}; word so far {word}")
 
 
 def enumerate_polygons(max_height: int, min_z: int = 1, max_z: int | None = None):

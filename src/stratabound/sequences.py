@@ -40,6 +40,11 @@ class Symbol:
             raise ValueError(f"label must be 0 or 1, got {self.label}")
         if self.position < 1 or self.segment < 0:
             raise ValueError(f"bad symbol coordinates ({self.segment}, {self.position})")
+        # The dataclass field-tuple hash, computed once; set and dict order depend on it.
+        object.__setattr__(self, "_hash", hash((self.segment, self.position, self.label)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def token(self) -> str:
@@ -78,11 +83,28 @@ class ABS:
             raise ValueError("order contains repeated symbols")
         if set(pi) != symbols or set(pi.values()) != symbols:
             raise ValueError("pi must be a bijection on exactly the ordered symbols")
+        self._init(order, pi, {v: k for k, v in pi.items()})
+
+    @classmethod
+    def _view(cls, order: tuple[Symbol, ...], base: "ABS") -> "ABS":
+        """A reordering of base's symbols that shares (never copies) its bijection.
+
+        The caller passes symbols of base, so only repeats and the count are checked.
+        """
+        view = cls.__new__(cls)
+        view._init(order, base._pi, base._inv)
+        if len(view._pos) != len(order):
+            raise ValueError("order contains repeated symbols")
+        if len(order) != len(base._pi):
+            raise ValueError("pi must be a bijection on exactly the ordered symbols")
+        return view
+
+    def _init(self, order, pi, inv):
         self.order = order
         self._pi = pi
         self._pos = {t: z for z, t in enumerate(order, start=1)}
-        self._inv = {v: k for k, v in pi.items()}
-        self._hash = hash((order, frozenset(pi.items())))
+        self._inv = inv
+        self._hash = None
 
     def __len__(self):
         return len(self.order)
@@ -94,6 +116,8 @@ class ABS:
         return isinstance(other, ABS) and self.order == other.order and self._pi == other._pi
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.order, frozenset(self._pi.items())))
         return self._hash
 
     def __repr__(self):
@@ -170,10 +194,15 @@ def length(S: ABS) -> int:
     >>> length(minimal_abs_segment(2, 7))
     0
     """
+    return word_length(t.label for t in S.order)
+
+
+def word_length(word) -> int:
+    """Number of pairs (0 before 1) in a 0/1 word; the length of any sequence of that type."""
     zeros = 0
     total = 0
-    for t in S.order:
-        if t.label == 0:
+    for bit in word:
+        if bit == 0:
             zeros += 1
         else:
             total += zeros
@@ -191,6 +220,15 @@ def direct_sum(*summands: ABS) -> ABS:
     >>> [t.token for t in S.order]
     ['1^1_1', '1^2_1', '0^1_2', '0^2_2']
     """
+    return _merge(summands, [_expansion_values(summand) for summand in summands])
+
+
+def _expansion_values(S: ABS) -> list[Fraction]:
+    return [binary_expansion(S, t).value for t in S.order]
+
+
+def _merge(summands, values) -> ABS:
+    # values[k][idx] is the expansion value of summands[k].order[idx]
     seen = set()
     keyed = []
     pi = {}
@@ -200,8 +238,7 @@ def direct_sum(*summands: ABS) -> ABS:
             raise ValueError(f"summands share symbols: {sorted(t.token for t in overlap)}")
         seen.update(summand.order)
         pi.update({t: summand.pi(t) for t in summand.order})
-        for idx, t in enumerate(summand.order):
-            keyed.append(((binary_expansion(summand, t).value, k, idx), t))
+        keyed.extend(((v, k, idx), t) for idx, (v, t) in enumerate(zip(values[k], summand.order)))
     keyed.sort(key=lambda item: item[0])
     return ABS([t for _, t in keyed], pi)
 
@@ -210,24 +247,28 @@ def minimal_abs(polygon: NewtonPolygon) -> ABS:
     """Minimal sequence of a polygon: direct sum of its minimal segments.
 
     Expansion ties across summands can only come from equal segments; anything
-    else would break the canonical order, so it is checked outright.
+    else would break the canonical order, so it is checked outright.  The
+    expansion values of each distinct (m, n) are computed once and serve both
+    the tie check and the merge.
     """
     summands = [
         minimal_abs_segment(seg.m, seg.n, segment=k)
         for k, seg in enumerate(polygon.segments, start=1)
     ]
+    values: dict[tuple[int, int], list[Fraction]] = {}
     by_value: dict[Fraction, tuple[int, int]] = {}
-    for k, summand in enumerate(summands):
-        seg = polygon.segments[k]
+    for seg, summand in zip(polygon.segments, summands):
         pair = (seg.m, seg.n)
-        for t in summand.order:
-            v = binary_expansion(summand, t).value
+        if pair in values:
+            continue
+        values[pair] = _expansion_values(summand)
+        for v in values[pair]:
             other = by_value.setdefault(v, pair)
             if other != pair:
                 raise InternalCheckError(
                     f"expansion tie {v} between distinct segments {other} and {pair}"
                 )
-    return direct_sum(*summands)
+    return _merge(summands, [values[seg.m, seg.n] for seg in polygon.segments])
 
 
 def to_binary_sequence(S: ABS) -> tuple[int, ...]:

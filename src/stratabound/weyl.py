@@ -240,6 +240,14 @@ def resolve_budget(budget: int | None) -> int:
     return DEFAULT_BUDGET if budget is None else int(budget)
 
 
+def _check_budget(ctx: JWContext, budget: int | None) -> None:
+    """Refuse a brute-force scan of W_J = S_c x S_d larger than the budget."""
+    limit = resolve_budget(budget)
+    size = math.factorial(ctx.c) * math.factorial(ctx.d)
+    if size > limit:
+        raise ContextTooLarge(f"|W_J| = {size} exceeds the budget {limit} for {ctx}")
+
+
 @lru_cache(maxsize=None)
 def _parabolic_images(h: int, c: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
@@ -251,10 +259,7 @@ def _parabolic_images(h: int, c: int) -> tuple[tuple[int, ...], ...]:
 
 def parabolic_elements(ctx: JWContext, budget: int | None = None) -> tuple[Permutation, ...]:
     """The block subgroup W_J = S_c x S_d; guarded by the enumeration budget."""
-    limit = resolve_budget(budget)
-    size = math.factorial(ctx.c) * math.factorial(ctx.d)
-    if size > limit:
-        raise ContextTooLarge(f"|W_J| = {size} exceeds the budget {limit} for {ctx}")
+    _check_budget(ctx, budget)
     return tuple(Permutation(imgs) for imgs in _parabolic_images(ctx.h, ctx.c))
 
 
@@ -278,10 +283,7 @@ def specializes(w_target: Permutation, w: Permutation, ctx: JWContext, budget: i
     """
     if w_target.degree != ctx.h or w.degree != ctx.h:
         raise DimensionMismatch(f"degrees must equal h={ctx.h}")
-    limit = resolve_budget(budget)
-    size = math.factorial(ctx.c) * math.factorial(ctx.d)
-    if size > limit:
-        raise ContextTooLarge(f"|W_J| = {size} exceeds the budget {limit} for {ctx}")
+    _check_budget(ctx, budget)
     wt = w_target.images
     for u_inv, th in _conjugation_data(ctx.h, ctx.c):
         # (u^{-1} w_target theta(u))(i), composed right to left

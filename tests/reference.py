@@ -1,0 +1,237 @@
+"""Reference implementations kept only as test oracles.
+
+* The positional cascade on ``ABS`` objects: every stage rebuilds a full
+  sequence, members are read off symbol positions, and the A- and B-phases
+  are written out as mirrored loops.  The library runs the same cascade on
+  integer ids; tests require both to agree stage by stage.
+* The one-step set shortcuts (the next A-set is the arrow image of the
+  previous one filtered by segment and label; the next B-set likewise
+  without the segment filter).  For the A-side the shortcut can differ from
+  the positional definition on non-adjacent pairs whose marker orbit wraps
+  early, while no B-side divergence is known; tests pin both facts.
+* The expansion-sorted length bound used to certify never-empty cascades.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
+
+from stratabound.errors import InternalCheckError, PreconditionViolated
+from stratabound.modification import (
+    GENERIC,
+    NONGENERIC_A_NEVER_EMPTY,
+    NONGENERIC_B_NEVER_EMPTY,
+    NONGENERIC_LENGTH_DROP,
+    SmallModPair,
+    small_modification,
+)
+from stratabound.sequences import ABS, Symbol, binary_expansion, length, word_length
+
+
+@dataclass(frozen=True)
+class RefStage:
+    kind: str
+    index: int
+    sequence: ABS
+    marker: Symbol
+    members: tuple[Symbol, ...]
+
+
+@dataclass(frozen=True)
+class RefTrace:
+    source: ABS
+    pair: SmallModPair
+    small: ABS
+    stages: tuple[RefStage, ...]
+    a: int | None
+    b: int | None
+    result: ABS | None
+    verdict: str | None
+
+
+def _orbit(S: ABS, start: Symbol) -> list[Symbol]:
+    out = [start]
+    t = S.pi(start)
+    while t != start:
+        out.append(t)
+        t = S.pi(t)
+    return out
+
+
+def _a_members(current: ABS, marker: Symbol, nxt: Symbol, exclude_segment: int | None) -> tuple[Symbol, ...]:
+    pos_marker = current.position(marker)
+    pos_next = current.position(nxt)
+    return tuple(
+        t
+        for t in current.order[: pos_marker - 1]
+        if t.label == marker.label
+        and current.position(current.pi(t)) > pos_next
+        and (exclude_segment is None or t.segment != exclude_segment)
+    )
+
+
+def _b_members(current: ABS, marker: Symbol, nxt: Symbol) -> tuple[Symbol, ...]:
+    pos_marker = current.position(marker)
+    pos_next = current.position(nxt)
+    return tuple(
+        t
+        for t in current.order[pos_marker:]
+        if t.label == marker.label and current.position(current.pi(t)) < pos_next
+    )
+
+
+def _move_after(S: ABS, sym: Symbol, target: Symbol) -> ABS:
+    # invert (sym, t') for every t' with sym < t' <= target: sym lands just after target
+    i = S.position(sym)
+    j = S.position(target)
+    if i >= j:
+        raise InternalCheckError(f"move-after expects {sym!r} strictly before {target!r}")
+    order = list(S.order)
+    order.insert(j - 1, order.pop(i - 1))
+    return S.reordered(order)
+
+
+def _move_before(S: ABS, sym: Symbol, target: Symbol) -> ABS:
+    # invert (t', sym) for every t' with target <= t' < sym: sym lands just before target
+    i = S.position(sym)
+    j = S.position(target)
+    if j >= i:
+        raise InternalCheckError(f"move-before expects {target!r} strictly before {sym!r}")
+    order = list(S.order)
+    order.insert(j - 1, order.pop(i - 1))
+    return S.reordered(order)
+
+
+def construction_a(S0: ABS, pair: SmallModPair, source: ABS | None = None) -> RefTrace:
+    orbit = _orbit(S0, pair.zero)
+    p = len(orbit)
+    q = pair.one.segment
+    cap = len(S0) ** 2
+
+    current = S0
+    members = _a_members(current, orbit[0], orbit[1 % p], exclude_segment=None)
+    stages = [RefStage("A", 0, current, orbit[0], members)]
+    seen = {(current.order, 0)}
+    n = 0
+    while members:
+        if len(stages) > cap:
+            raise InternalCheckError("A-phase exceeded the stage cap without a verdict")
+        t_max = members[-1]
+        n += 1
+        marker = orbit[n % p]
+        current = _move_after(current, marker, current.pi(t_max))
+        nxt = orbit[(n + 1) % p]
+        members = _a_members(current, marker, nxt, exclude_segment=q)
+        stages.append(RefStage("A", n, current, marker, members))
+        state = (current.order, n % p)
+        if members and state in seen:
+            return RefTrace(
+                source=source if source is not None else S0,
+                pair=pair,
+                small=S0,
+                stages=tuple(stages),
+                a=None,
+                b=None,
+                result=None,
+                verdict=NONGENERIC_A_NEVER_EMPTY,
+            )
+        seen.add(state)
+    return RefTrace(
+        source=source if source is not None else S0,
+        pair=pair,
+        small=S0,
+        stages=tuple(stages),
+        a=n,
+        b=None,
+        result=None,
+        verdict=None,
+    )
+
+
+def construction_b(trace: RefTrace) -> RefTrace:
+    if trace.a is None:
+        raise PreconditionViolated("B-phase needs a completed A-phase (a recorded)")
+    if trace.b is not None or trace.verdict is not None:
+        raise PreconditionViolated("trace already completed")
+    S0 = trace.small
+    pair = trace.pair
+    orbit = _orbit(S0, pair.one)
+    p = len(orbit)
+    cap = len(S0) ** 2
+
+    current = trace.stages[-1].sequence
+    members = _b_members(current, orbit[0], orbit[1 % p])
+    stages = list(trace.stages) + [RefStage("B", 0, current, orbit[0], members)]
+    seen = {(current.order, 0)}
+    n = 0
+    while members:
+        if len(stages) - len(trace.stages) > cap:
+            raise InternalCheckError("B-phase exceeded the stage cap without a verdict")
+        t_min = members[0]
+        n += 1
+        marker = orbit[n % p]
+        current = _move_before(current, marker, current.pi(t_min))
+        nxt = orbit[(n + 1) % p]
+        members = _b_members(current, marker, nxt)
+        stages.append(RefStage("B", n, current, marker, members))
+        state = (current.order, n % p)
+        if members and state in seen:
+            return replace(trace, stages=tuple(stages), verdict=NONGENERIC_B_NEVER_EMPTY)
+        seen.add(state)
+
+    drop = length(trace.source) - length(current)
+    if drop < 1:
+        raise InternalCheckError(
+            f"full modification raised the length ({length(trace.source)} -> {length(current)})"
+        )
+    verdict = GENERIC if drop == 1 else NONGENERIC_LENGTH_DROP
+    return replace(trace, stages=tuple(stages), b=n, result=current, verdict=verdict)
+
+
+def full_modification(S: ABS, pair: SmallModPair) -> RefTrace:
+    small = small_modification(S, pair)
+    partial = construction_a(small, pair, source=S)
+    if partial.verdict is not None:
+        return partial
+    return construction_b(partial)
+
+
+def a_members_from_previous(
+    S0: ABS, previous: Sequence[Symbol], marker: Symbol, excluded_segment: int
+) -> frozenset[Symbol]:
+    """One-step prediction of the next A-set: arrow images of the previous one,
+    dropping symbols of the excluded segment and label mismatches.
+
+    This shortcut agrees with the positional definition whenever the chosen
+    pair sits in adjacent segments; for distant pairs on short arrow orbits
+    the two can differ (the positional definition drives the iteration).
+    """
+    return frozenset(
+        S0.pi(t)
+        for t in previous
+        if S0.pi(t).segment != excluded_segment and S0.pi(t).label == marker.label
+    )
+
+
+def b_members_from_previous(
+    S0: ABS, previous: Sequence[Symbol], marker: Symbol
+) -> frozenset[Symbol]:
+    """One-step prediction of the next B-set: arrow images filtered by label.
+
+    Unlike the A-side shortcut this one agrees with the positional definition
+    on every trace swept so far, adjacent or not; tests assert the agreement.
+    """
+    return frozenset(S0.pi(t) for t in previous if S0.pi(t).label == marker.label)
+
+
+def expansion_sorted_length_bound(S: ABS) -> int:
+    """Largest length over orders compatible with the expansion contract.
+
+    Any specialization order must be non-decreasing in binary expansion, so
+    sorting by (expansion value, label) with 0 before 1 on ties maximizes the
+    number of 0-before-1 pairs.  Used to confirm that never-terminating
+    cascades cannot reach length l(S) - 1.
+    """
+    ordered = sorted(S.order, key=lambda t: (binary_expansion(S, t).value, t.label))
+    return word_length(t.label for t in ordered)

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 import golden
+import reference
+from reference import a_members_from_previous, b_members_from_previous, expansion_sorted_length_bound
 from stratabound.errors import InternalCheckError, InvalidPair, PreconditionViolated
 from stratabound.modification import (
     GENERIC,
@@ -16,14 +18,10 @@ from stratabound.modification import (
     NONGENERIC_LENGTH_DROP,
     CensusRow,
     SmallModPair,
-    _move_after,
-    _move_before,
-    a_members_from_previous,
-    b_members_from_previous,
+    _move,
     construction_a,
     construction_b,
     eligible_pairs,
-    expansion_sorted_length_bound,
     full_modification,
     modification_census,
     parse_pair,
@@ -34,6 +32,7 @@ from stratabound.modification import (
 )
 from stratabound.newton import enumerate_polygons, parse_polygon
 from stratabound.sequences import (
+    ABS,
     Symbol,
     binary_expansion,
     is_admissible,
@@ -165,12 +164,16 @@ class TestPhases:
             construction_b(done)
 
     def test_move_preconditions(self):
+        # ids 0 and 1 hold the first two positions: moving the second after the
+        # first, or the first before the second, is outside the move's contract.
         S = minimal_abs(parse_polygon("2,5+3,2"))
-        first, second = S.order[0], S.order[1]
+        first, second = 0, 1
+        order, pos = list(range(len(S))), list(range(len(S)))
         with pytest.raises(InternalCheckError):
-            _move_after(S, second, first)
+            _move(order, pos, second, first, after=True)
         with pytest.raises(InternalCheckError):
-            _move_before(S, first, second)
+            _move(order, pos, first, second, after=False)
+        assert order == pos == list(range(len(S)))
 
     def test_full_equals_a_then_b(self):
         S = minimal_abs(parse_polygon("2,7+3,5"))
@@ -178,6 +181,52 @@ class TestPhases:
         via_full = full_modification(S, pair)
         via_phases = construction_b(construction_a(small_modification(S, pair), pair, source=S))
         assert via_full == via_phases
+
+
+class TestReferenceCascade:
+    def test_agrees_with_positional_reference_exhaustively(self):
+        # The positional ABS-based cascade (tests/reference.py) against the integer
+        # one, on every eligible pair up to h = 9, stage by stage.
+        traces = 0
+        for poly in enumerate_polygons(9):
+            S = minimal_abs(poly)
+            for pair in eligible_pairs(S):
+                traces += 1
+                got = full_modification(S, pair)
+                want = reference.full_modification(S, pair)
+                where = (str(poly), pair.spec)
+                assert (got.a, got.b, got.verdict) == (want.a, want.b, want.verdict), where
+                assert got.small == want.small, where
+                assert len(got.stages) == len(want.stages), where
+                for mine, ref in zip(got.stages, want.stages):
+                    assert (mine.kind, mine.index, mine.marker, mine.members) == (
+                        ref.kind,
+                        ref.index,
+                        ref.marker,
+                        ref.members,
+                    ), where
+                    assert mine.sequence.order == ref.sequence.order, where
+                    assert mine.sequence == ref.sequence, where
+                assert got.result == want.result, where
+        assert traces == 4054
+
+    def test_stage_views_equal_rebuilt_sequences(self):
+        for spec in (golden.TRACE_12, golden.TRACE_17, golden.TRACE_20):
+            trace = make_trace(spec["polygon"], spec["pair"])
+            for stage in trace.stages:
+                view = stage.sequence
+                rebuilt = ABS(view.order, {t: view.pi(t) for t in view.order})
+                assert view == rebuilt and rebuilt == view
+                assert hash(view) == hash(rebuilt)
+                assert view.arrow_images() == rebuilt.arrow_images()
+            assert trace.result is trace.stages[-1].sequence
+
+    def test_view_rejects_repeated_symbols(self):
+        S = minimal_abs(parse_polygon("2,5+3,2"))
+        with pytest.raises(ValueError):
+            ABS._view((S.order[0],) * len(S), S)
+        with pytest.raises(ValueError):
+            ABS._view(S.order[1:], S)
 
 
 def all_traces(max_height):

@@ -12,9 +12,11 @@ from conftest import polygons
 from stratabound.errors import (
     CoprimalityViolation,
     CurtailUndefined,
+    InternalCheckError,
     PreconditionViolated,
     SlopeOrderViolation,
 )
+from stratabound import newton
 from stratabound.newton import (
     NewtonPolygon,
     Segment,
@@ -137,6 +139,12 @@ class TestPhi:
         for text in ("1,1", "0,1+0,1", "1,1+1,1"):
             with pytest.raises(PreconditionViolated):
                 phi(parse_polygon(text))
+
+    def test_phi_non_termination_is_an_internal_check(self, monkeypatch):
+        # A reduction that never moves the polygon breaks the termination cap.
+        monkeypatch.setattr(newton, "apply_reduction", lambda p, letter: p)
+        with pytest.raises(InternalCheckError, match=r"phi failed to terminate on 1,3\+1,2"):
+            phi(parse_polygon("1,3+1,2"))
 
     def test_phi_lands_separated_and_word_replays_exhaustive(self):
         for p in enumerate_polygons(10):

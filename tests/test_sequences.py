@@ -46,6 +46,11 @@ class TestSymbols:
         with pytest.raises(ValueError):
             Symbol(1, 0, 0)
 
+    def test_hash_is_the_field_tuple_hash(self):
+        # Set and dict iteration order, hence every output, depends on this value.
+        for s, p, l in itertools.product((0, 1, 7), (1, 2, 13), (0, 1)):
+            assert hash(Symbol(s, p, l)) == hash((s, p, l))
+
 
 class TestMinimalSegment:
     def test_single_cycle_and_labels(self):
