@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .boundary import (
     boundary_set,
@@ -134,6 +135,7 @@ def _cmd_sweep(args) -> int:
     return 0 if failures == 0 else 2
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="stratabound", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,6 +10,13 @@ Coxeter length of w.
 Specialization order on representatives: w' specializes to (lies under) w
 when some u in W_J satisfies u^{-1} w' theta(u) <= w in Bruhat order, where
 theta is conjugation by the fixed shuffle x(i) = i + d (i <= c), i - c (else).
+``specializes`` decides this without enumerating W_J: a depth-first search
+builds u one row of u^{-1} w' theta(u) at a time and abandons a branch as
+soon as a lower bound on some prefix count breaks the dominance criterion
+for Bruhat order.  ``generic_specializations_oracle`` runs that search on
+every representative one length below w.  The enumeration budget
+(``--budget``, ``STRATABOUND_BUDGET``) still caps |W_J| = c! d! exactly as
+it did when W_J was scanned.
 
 >>> ctx = JWContext(h=3, c=1)
 >>> x_element(ctx).images
@@ -225,6 +232,15 @@ def jw_elements(ctx: JWContext) -> tuple[Permutation, ...]:
     return _jw_elements(ctx.h, ctx.c)
 
 
+@lru_cache(maxsize=None)
+def _jw_by_length(h: int, c: int) -> dict[int, tuple[Permutation, ...]]:
+    # Coxeter length -> the representatives of that length, in jw_elements order.
+    buckets: dict[int, list[Permutation]] = {}
+    for w in _jw_elements(h, c):
+        buckets.setdefault(coxeter_length(w), []).append(w)
+    return {length: tuple(ws) for length, ws in buckets.items()}
+
+
 def x_element(ctx: JWContext) -> Permutation:
     """The fixed block shuffle: i -> i + d for i <= c, i -> i - c above."""
     return Permutation(tuple(i + ctx.d if i <= ctx.c else i - ctx.c for i in range(1, ctx.h + 1)))
@@ -241,7 +257,7 @@ def resolve_budget(budget: int | None) -> int:
 
 
 def _check_budget(ctx: JWContext, budget: int | None) -> None:
-    """Refuse a brute-force scan of W_J = S_c x S_d larger than the budget."""
+    """Refuse a context whose W_J = S_c x S_d is larger than the budget."""
     limit = resolve_budget(budget)
     size = math.factorial(ctx.c) * math.factorial(ctx.d)
     if size > limit:
@@ -263,19 +279,75 @@ def parabolic_elements(ctx: JWContext, budget: int | None = None) -> tuple[Permu
     return tuple(Permutation(imgs) for imgs in _parabolic_images(ctx.h, ctx.c))
 
 
-@lru_cache(maxsize=None)
-def _conjugation_data(h: int, c: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    # pairs (u^{-1} images, theta(u) images) for u in W_J
-    ctx = JWContext(h, c)
-    out = []
-    for images in _parabolic_images(h, c):
-        u = Permutation(images)
-        out.append((u.inverse().images, theta(u, ctx).images))
-    return tuple(out)
+def _witness_exists(wt: tuple[int, ...], w: tuple[int, ...], c: int) -> bool:
+    # Depth-first search for u in W_J with v = u^{-1} wt theta(u) <= w, built
+    # one row of v at a time.  Row a of v reads wt at column b = theta(u)(a);
+    # rows a <= d take b in 1..d and fix u^{-1}(b + c) = a + c, rows a > d take
+    # b in d+1..h and fix u^{-1}(b - d) = a - d.  v(a) = u^{-1}(wt(b)) is known
+    # once wt(b) has a label.  An undetermined entry of a value block is
+    # counted as the smallest label still free in that block, which bounds
+    # every count #{a <= i : v(a) >= j} from below; a prefix whose sorted
+    # bound exceeds w's sorted prefix entrywise (the tableau form of the
+    # dominance criterion) cannot complete.  Sources are tried in increasing
+    # order, so u = id is the first leaf.
+    h = len(wt)
+    d = h - c
+    w_prefix = [sorted(w[: i + 1], reverse=True) for i in range(h)]
+    col_of = [0] * (h + 1)  # col_of[x] = the column b with wt(b) = x
+    for b, x in enumerate(wt, start=1):
+        col_of[x] = b
+    label = [0] * (h + 1)  # label[x] = u^{-1}(x), 0 while free
+    labelled = [False] * (h + 1)  # labelled[l]: some x has label l
+    row_of = [0] * (h + 1)  # row_of[b] = the row reading column b, 0 while unread
+    reads = [0] * (h + 1)  # reads[a] = wt(b) for the column b that row a reads
+
+    def prefix_fits(i: int) -> bool:
+        values = []
+        free_low = free_high = 0
+        for a in range(1, i + 1):
+            x = reads[a]
+            if label[x]:
+                values.append(label[x])
+            elif x <= c:
+                free_low += 1
+            else:
+                free_high += 1
+        for lab, k in ((1, free_low), (c + 1, free_high)):
+            while k:
+                if not labelled[lab]:
+                    values.append(lab)
+                    k -= 1
+                lab += 1
+        values.sort(reverse=True)
+        bound = w_prefix[i - 1]
+        return all(values[r] <= bound[r] for r in range(i))
+
+    def place(a: int) -> bool:
+        if a > h:
+            return True
+        cols, shift, lab = (range(1, d + 1), c, a + c) if a <= d else (range(d + 1, h + 1), -d, a - d)
+        labelled[lab] = True
+        for b in cols:
+            if row_of[b]:
+                continue
+            x = b + shift
+            reads[a], row_of[b], label[x] = wt[b - 1], a, lab
+            # re-check every prefix holding an entry this choice determined
+            lo = row_of[col_of[x]] or a
+            if all(prefix_fits(i) for i in range(lo, a + 1)) and place(a + 1):
+                return True
+            row_of[b], label[x] = 0, 0
+        labelled[lab] = False
+        return False
+
+    return place(1)
 
 
 def specializes(w_target: Permutation, w: Permutation, ctx: JWContext, budget: int | None = None) -> bool:
     """True when u^{-1} w_target theta(u) <= w for some u in the block subgroup.
+
+    Decided by a pruned search over u, not by scanning W_J; the budget still
+    caps |W_J| = c! d! exactly as for a scan.
 
     >>> ctx = JWContext(h=2, c=1)
     >>> specializes(Permutation((1, 2)), Permutation((2, 1)), ctx)
@@ -284,13 +356,7 @@ def specializes(w_target: Permutation, w: Permutation, ctx: JWContext, budget: i
     if w_target.degree != ctx.h or w.degree != ctx.h:
         raise DimensionMismatch(f"degrees must equal h={ctx.h}")
     _check_budget(ctx, budget)
-    wt = w_target.images
-    for u_inv, th in _conjugation_data(ctx.h, ctx.c):
-        # (u^{-1} w_target theta(u))(i), composed right to left
-        candidate = tuple(u_inv[wt[th[i] - 1] - 1] for i in range(ctx.h))
-        if _dominance_leq(candidate, w.images):
-            return True
-    return False
+    return _witness_exists(w_target.images, w.images, ctx.c)
 
 
 def generic_specializations_oracle(
@@ -305,11 +371,8 @@ def generic_specializations_oracle(
     """
     target_length = coxeter_length(w) - 1
     if method == "filter":
-        return tuple(
-            wp
-            for wp in jw_elements(ctx)
-            if coxeter_length(wp) == target_length and specializes(wp, w, ctx, budget)
-        )
+        candidates = _jw_by_length(ctx.h, ctx.c).get(target_length, ())
+        return tuple(wp for wp in candidates if specializes(wp, w, ctx, budget))
     if method == "transpositions":
         found = set()
         lw = coxeter_length(w)

@@ -10,12 +10,18 @@
   the positional definition on non-adjacent pairs whose marker orbit wraps
   early, while no B-side divergence is known; tests pin both facts.
 * The expansion-sorted length bound used to certify never-empty cascades.
+* The specialization test by full scan: every u in W_J = S_c x S_d is
+  tried, from a table of (u^{-1}, theta(u)) image tuples built once per
+  (h, c).  The library searches with pruning instead; tests require both to
+  give the same answer.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from stratabound.errors import InternalCheckError, PreconditionViolated
 from stratabound.modification import (
@@ -27,6 +33,7 @@ from stratabound.modification import (
     small_modification,
 )
 from stratabound.sequences import ABS, Symbol, binary_expansion, length, word_length
+from stratabound.weyl import JWContext, Permutation, _dominance_leq
 
 
 @dataclass(frozen=True)
@@ -235,3 +242,34 @@ def expansion_sorted_length_bound(S: ABS) -> int:
     """
     ordered = sorted(S.order, key=lambda t: (binary_expansion(S, t).value, t.label))
     return word_length(t.label for t in ordered)
+
+
+@lru_cache(maxsize=None)
+def _conjugation_table(h: int, c: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    # (u^{-1}, theta(u)) images for every u = p + q in W_J, p before q
+    # lexicographically; theta(u) = x u x^{-1} with x(i) = i + d (i <= c),
+    # i - c (i > c).
+    d = h - c
+    x = tuple(i + d if i <= c else i - c for i in range(1, h + 1))
+    x_inv = tuple(i + c if i <= d else i - d for i in range(1, h + 1))
+    table = []
+    for p in itertools.permutations(range(1, c + 1)):
+        for q in itertools.permutations(range(c + 1, h + 1)):
+            u = p + q
+            u_inv = [0] * h
+            for i, v in enumerate(u, start=1):
+                u_inv[v - 1] = i
+            th = tuple(x[u[x_inv[i] - 1] - 1] for i in range(h))
+            table.append((tuple(u_inv), th))
+    return tuple(table)
+
+
+def specializes_bruteforce(w_target: Permutation, w: Permutation, ctx: JWContext) -> bool:
+    """True when u^{-1} w_target theta(u) <= w for some u, by scanning all of W_J."""
+    wt = w_target.images
+    for u_inv, th in _conjugation_table(ctx.h, ctx.c):
+        # (u^{-1} w_target theta(u))(i), composed right to left
+        candidate = tuple(u_inv[wt[th[i] - 1] - 1] for i in range(ctx.h))
+        if _dominance_leq(candidate, w.images):
+            return True
+    return False

@@ -37,6 +37,12 @@ class TestBoundarySet:
         for poly in enumerate_polygons(6):
             assert boundary_set(poly).types() == boundary_set_oracle(poly).types(), str(poly)
 
+    def test_matches_oracle_at_height_9(self):
+        polygons = [p for p in enumerate_polygons(9) if p.height == 9]
+        assert polygons
+        for poly in polygons:
+            assert boundary_set(poly).types() == boundary_set_oracle(poly).types(), str(poly)
+
     def test_methods_are_labelled(self):
         poly = parse_polygon("1,2+1,1")
         assert boundary_set(poly).method != boundary_set_oracle(poly).method

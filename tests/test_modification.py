@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 import golden
 import reference
 from reference import a_members_from_previous, b_members_from_previous, expansion_sorted_length_bound
-from stratabound.errors import InternalCheckError, InvalidPair, PreconditionViolated
+from stratabound.errors import ContextTooLarge, InternalCheckError, InvalidPair, PreconditionViolated
 from stratabound.modification import (
     GENERIC,
     NONGENERIC_A_NEVER_EMPTY,
@@ -432,6 +433,17 @@ class TestWeylBridge:
 
             x = x_element(ctx)
             assert x * u * x.inverse() == eps
+
+    def test_golden_specialization_h17(self):
+        # |W_J| = 5! 12! exceeds the default budget, so the budget is explicit.
+        poly = parse_polygon(golden.POLYGON_17)
+        trace = make_trace(golden.POLYGON_17, golden.PAIR_17)
+        ctx = JWContext.for_polygon(poly)
+        w_prime, _, _ = specialization_to_weyl(trace, ctx)
+        w = binary_to_jw(to_binary_sequence(trace.source), ctx)
+        assert specializes(w_prime, w, ctx, budget=math.factorial(5) * math.factorial(12))
+        with pytest.raises(ContextTooLarge):
+            specializes(w_prime, w, ctx)
 
     def test_position_conjugation_identity(self):
         trace = make_trace(golden.POLYGON_12, golden.PAIR_12)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import specializes_bruteforce
 from stratabound.errors import ContextTooLarge, DimensionMismatch
 from stratabound.newton import enumerate_polygons, parse_polygon
 from stratabound.sequences import abs_from_binary_sequence, length, minimal_abs, to_binary_sequence
@@ -224,6 +225,24 @@ class TestSpecializationOrder:
         ctx = JWContext(h=12, c=6)
         with pytest.raises(ContextTooLarge):
             specializes(Permutation.identity(12), Permutation.identity(12), ctx, budget=10)
+
+    def test_search_equals_bruteforce_on_all_pairs(self):
+        for h in range(1, 7):
+            for c in range(0, h + 1):
+                ctx = JWContext(h=h, c=c)
+                elems = jw_elements(ctx)
+                for wp in elems:
+                    for w in elems:
+                        assert specializes(wp, w, ctx) == specializes_bruteforce(wp, w, ctx), (wp, w, ctx)
+
+    def test_search_equals_bruteforce_on_boundary_candidates(self):
+        # Every candidate the oracle filter tests for some polygon, h <= 8.
+        for poly in enumerate_polygons(8):
+            ctx = JWContext.for_polygon(poly)
+            w = binary_to_jw(to_binary_sequence(minimal_abs(poly)), ctx)
+            for wp in jw_elements(ctx):
+                if coxeter_length(wp) == coxeter_length(w) - 1:
+                    assert specializes(wp, w, ctx) == specializes_bruteforce(wp, w, ctx), (str(poly), wp)
 
     def test_oracle_methods_agree(self):
         for h in range(2, 7):
