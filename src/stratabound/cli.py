@@ -142,7 +142,6 @@ def _build_parser() -> _Parser:
 
     def add_common(sp, func):
         sp.add_argument("--json", action="store_true", help="emit JSON")
-        sp.add_argument("--ascii", action="store_true", help="emit the ASCII diagram (default)")
         sp.set_defaults(func=func)
 
     sp = sub.add_parser("abs", help="print the minimal arrowed binary sequence")

@@ -35,7 +35,7 @@ class PreconditionViolated(StrataboundError):
 
 
 class ContextTooLarge(StrataboundError):
-    """A brute-force enumeration would exceed the configured budget."""
+    """The block subgroup W_J is larger than the budget, which caps |W_J| = c!·d!."""
 
 
 class DimensionMismatch(StrataboundError):

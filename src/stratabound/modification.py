@@ -13,12 +13,12 @@ marker past a block of the order at every stage and tracking the sets
 empties; the final sequence is the full modification.  Its verdict is Generic
 when the length drops by exactly one.
 
-Both phases run one loop on integers.  A symbol's id is its position in the
-small modification's order; pi, labels and segments are lists indexed by id,
-and the phase state is an order of ids plus the inverse array of positions,
-which a move updates only over the range it shifted.  Each stage keeps its
-order as an id tuple, and its ``sequence`` (an ABS sharing the small
-modification's bijection) is built when first read.
+Both phases run one loop on integers.  A symbol's id is its 0-based
+position in the small modification's order, so ``small.arrows`` is the id
+table of pi (shifted by one), and the phase state is an order of ids plus the
+inverse array of positions, which a move updates only over the range it
+shifted.  Each stage keeps its order as an id tuple, and its ``sequence``
+(``small.arrows`` carried to that order) is built when first read.
 
 The never-empties verdict relies on the iteration being a deterministic map
 on (current order, stage index mod marker-orbit-length): once that key
@@ -79,24 +79,6 @@ def parse_pair(text: str) -> SmallModPair:
     return SmallModPair(Symbol(r, i, 0), Symbol(q, j, 1))
 
 
-class _Ids:
-    """Integer tables of one small modification; a symbol's id is its position in ``small.order``."""
-
-    __slots__ = ("small", "pi", "label", "segment")
-
-    def __init__(self, small: ABS):
-        self.small = small
-        self.pi = [z - 1 for z in small.arrow_images()]
-        self.label = [t.label for t in small.order]
-        self.segment = [t.segment for t in small.order]
-
-    def __eq__(self, other):
-        return isinstance(other, _Ids) and self.small == other.small
-
-    def __hash__(self):
-        return hash(self.small)
-
-
 @dataclass(frozen=True)
 class Stage:
     """One cascade stage: the order after this stage's move, marker, members.
@@ -110,12 +92,17 @@ class Stage:
     order: tuple[int, ...]
     marker: Symbol
     members: tuple[Symbol, ...]  # in sequence order
-    ids: _Ids = field(repr=False)
+    small: ABS = field(repr=False)
 
     @cached_property
     def sequence(self) -> ABS:
-        small = self.ids.small
-        return ABS._view(tuple([small.order[t] for t in self.order]), small)
+        small = self.small
+        where = [0] * len(self.order)  # where[t] = 1-based position of id t in this order
+        for z, t in enumerate(self.order, start=1):
+            where[t] = z
+        return ABS.from_arrows(
+            [small.order[t] for t in self.order], [where[small.arrows[t] - 1] for t in self.order]
+        )
 
 
 @dataclass(frozen=True)
@@ -149,21 +136,18 @@ class ModificationTrace:
 def small_modification(S: ABS, pair: SmallModPair) -> ABS:
     """Swap the pair in the order and exchange the two symbols' pi-images.
 
-    Rewiring is sigma composed after pi, where sigma transposes the two
-    symbols: arrows into either one land on the other (so only their two
-    preimages change), and the swapped symbols' own images trade places
-    exactly when they point at each other.
+    The new pi is sigma composed after pi, where sigma transposes the two
+    symbols.  Because the swapped symbols sit at positions i and j, that is
+    entries i and j of both the order and the arrows trading places.
     """
-    i = S.position(pair.zero)
-    j = S.position(pair.one)
+    i = S.position(pair.zero) - 1
+    j = S.position(pair.one) - 1
     if i >= j:
         raise InvalidPair(f"pair {pair} needs the 0-symbol strictly before the 1-symbol")
-    order = list(S.order)
-    order[i - 1], order[j - 1] = order[j - 1], order[i - 1]
-    pi = {t: S.pi(t) for t in order}
-    pi[S.pi_inverse(pair.zero)] = pair.one
-    pi[S.pi_inverse(pair.one)] = pair.zero
-    return ABS(order, pi)
+    order, arrows = list(S.order), list(S.arrows)
+    order[i], order[j] = order[j], order[i]
+    arrows[i], arrows[j] = arrows[j], arrows[i]
+    return ABS.from_arrows(order, arrows)
 
 
 def _move(order: list[int], pos: list[int], sym: int, target: int, after: bool) -> None:
@@ -182,17 +166,19 @@ def _move(order: list[int], pos: list[int], sym: int, target: int, after: bool) 
         pos[order[z]] = z
 
 
-def _phase(kind: str, ids: _Ids, pair: SmallModPair, start: tuple[int, ...]) -> tuple[list[Stage], bool]:
-    """Run the A- or B-phase from the id order ``start``.
+def _phase(kind: str, small: ABS, pair: SmallModPair, start: tuple[int, ...]) -> tuple[list[Stage], bool]:
+    """Run the A- or B-phase of ``small`` from the id order ``start``.
 
     Returns the phase's stages (stage n holds the order after the n-th move,
     the marker and the n-th set) and whether its (order, n mod p) key repeated
     with a non-empty set, i.e. the phase never empties.
     """
-    syms = ids.small.order
-    pi, label, segment = ids.pi, ids.label, ids.segment
+    syms = small.order
+    pi = [z - 1 for z in small.arrows]
+    label = [t.label for t in syms]
+    segment = [t.segment for t in syms]
     a_phase = kind == "A"
-    orbit = [ids.small.position(pair.zero if a_phase else pair.one) - 1]
+    orbit = [small.position(pair.zero if a_phase else pair.one) - 1]
     while pi[orbit[-1]] != orbit[0]:
         orbit.append(pi[orbit[-1]])
     p = len(orbit)
@@ -219,7 +205,7 @@ def _phase(kind: str, ids: _Ids, pair: SmallModPair, start: tuple[int, ...]) -> 
         else:
             members = [t for t in order[pos[marker] + 1 :] if label[t] == lab and pos[pi[t]] < bound]
         key = tuple(order)
-        stages.append(Stage(kind, n, key, syms[marker], tuple([syms[t] for t in members]), ids))
+        stages.append(Stage(kind, n, key, syms[marker], tuple([syms[t] for t in members]), small))
         if not members:
             return stages, False
         state = (key, n % p)
@@ -239,7 +225,7 @@ def construction_a(S0: ABS, pair: SmallModPair, source: ABS | None = None) -> Mo
     marker alpha_n, and A_n computed in S^(n).  Ends with a = first empty
     index, or verdict NonGenericANeverEmpty when the iteration state repeats.
     """
-    stages, never_empty = _phase("A", _Ids(S0), pair, tuple(range(len(S0))))
+    stages, never_empty = _phase("A", S0, pair, tuple(range(len(S0))))
     return ModificationTrace(
         source=source if source is not None else S0,
         pair=pair,
@@ -257,14 +243,13 @@ def construction_b(trace: ModificationTrace) -> ModificationTrace:
         raise PreconditionViolated("B-phase needs a completed A-phase (a recorded)")
     if trace.b is not None or trace.verdict is not None:
         raise PreconditionViolated("trace already completed")
-    last = trace.stages[-1]
-    stages, never_empty = _phase("B", last.ids, trace.pair, last.order)
+    stages, never_empty = _phase("B", trace.small, trace.pair, trace.stages[-1].order)
     all_stages = trace.stages + tuple(stages)
     if never_empty:
         return replace(trace, stages=all_stages, verdict=NONGENERIC_B_NEVER_EMPTY)
 
     before = length(trace.source)
-    after = word_length(last.ids.label[t] for t in stages[-1].order)
+    after = word_length(trace.small.order[t].label for t in stages[-1].order)
     if before - after < 1:
         raise InternalCheckError(f"full modification raised the length ({before} -> {after})")
     verdict = GENERIC if before - after == 1 else NONGENERIC_LENGTH_DROP

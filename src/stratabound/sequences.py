@@ -3,7 +3,8 @@
 An arrowed binary sequence (ABS) is a finite totally ordered set of symbols
 ``T``, a labelling ``delta: T -> {0, 1}``, and a bijection ``pi: T -> T``.
 Symbols keep a permanent identity (segment, position, label); reorderings
-move symbols around without renaming them.
+move symbols around without renaming them.  A sequence stores its order and
+its arrows: for each position z, the position of pi(symbol at z).
 
 The length of a sequence counts the pairs (t, t') with t before t',
 delta(t) = 0 and delta(t') = 1.  Each symbol also carries a binary expansion
@@ -71,39 +72,38 @@ class BinaryExpansion:
 
 
 class ABS:
-    """Ordered symbols plus a bijection; immutable once built."""
+    """Ordered symbols plus arrows between positions; immutable once built.
 
-    __slots__ = ("order", "_pi", "_pos", "_inv", "_hash")
+    ``arrows[z - 1]`` is the 1-based position of pi(t) for the symbol t at
+    position z, the form ``abs_to_json`` writes.  ``ABS(order, pi)`` takes pi
+    as a symbol mapping; ``ABS.from_arrows`` takes the positions directly.
+    """
+
+    __slots__ = ("order", "arrows", "_pos", "_hash")
 
     def __init__(self, order, pi):
         order = tuple(order)
         pi = dict(pi)
-        symbols = set(order)
-        if len(symbols) != len(order):
-            raise ValueError("order contains repeated symbols")
-        if set(pi) != symbols or set(pi.values()) != symbols:
+        pos = {t: z for z, t in enumerate(order, start=1)}
+        if pi.keys() != pos.keys():
             raise ValueError("pi must be a bijection on exactly the ordered symbols")
-        self._init(order, pi, {v: k for k, v in pi.items()})
+        self._init(order, tuple(pos.get(pi[t], 0) for t in order))
 
     @classmethod
-    def _view(cls, order: tuple[Symbol, ...], base: "ABS") -> "ABS":
-        """A reordering of base's symbols that shares (never copies) its bijection.
+    def from_arrows(cls, order, arrows) -> "ABS":
+        """The sequence whose symbol at position z points at position arrows[z - 1]."""
+        S = cls.__new__(cls)
+        S._init(tuple(order), tuple(arrows))
+        return S
 
-        The caller passes symbols of base, so only repeats and the count are checked.
-        """
-        view = cls.__new__(cls)
-        view._init(order, base._pi, base._inv)
-        if len(view._pos) != len(order):
-            raise ValueError("order contains repeated symbols")
-        if len(order) != len(base._pi):
-            raise ValueError("pi must be a bijection on exactly the ordered symbols")
-        return view
-
-    def _init(self, order, pi, inv):
-        self.order = order
-        self._pi = pi
+    def _init(self, order, arrows):
         self._pos = {t: z for z, t in enumerate(order, start=1)}
-        self._inv = inv
+        if len(self._pos) != len(order):
+            raise ValueError("order contains repeated symbols")
+        if sorted(arrows) != list(range(1, len(order) + 1)):
+            raise ValueError(f"arrows must permute the positions 1..{len(order)}")
+        self.order = order
+        self.arrows = arrows
         self._hash = None
 
     def __len__(self):
@@ -113,11 +113,11 @@ class ABS:
         return t in self._pos
 
     def __eq__(self, other):
-        return isinstance(other, ABS) and self.order == other.order and self._pi == other._pi
+        return isinstance(other, ABS) and self.order == other.order and self.arrows == other.arrows
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.order, frozenset(self._pi.items())))
+            self._hash = hash((self.order, self.arrows))
         return self._hash
 
     def __repr__(self):
@@ -134,29 +134,21 @@ class ABS:
         return self.order[z - 1]
 
     def delta(self, t: Symbol) -> int:
-        if t not in self._pos:
-            raise SymbolNotInSequence(f"{t!r} is not in this sequence")
-        return t.label
+        return self.order[self.position(t) - 1].label
 
     def pi(self, t: Symbol) -> Symbol:
-        try:
-            return self._pi[t]
-        except KeyError:
-            raise SymbolNotInSequence(f"{t!r} is not in this sequence") from None
+        return self.order[self.arrows[self.position(t) - 1] - 1]
 
     def pi_inverse(self, t: Symbol) -> Symbol:
-        try:
-            return self._inv[t]
-        except KeyError:
-            raise SymbolNotInSequence(f"{t!r} is not in this sequence") from None
+        return self.order[self.arrows.index(self.position(t))]
 
     def arrow_images(self) -> tuple[int, ...]:
         """pi as a permutation of positions: entry z is the position of pi(symbol at z)."""
-        return tuple(self._pos[self._pi[t]] for t in self.order)
+        return self.arrows
 
     def reordered(self, order) -> "ABS":
         """Same symbols and bijection, new order."""
-        return ABS(order, self._pi)
+        return ABS(order, {t: self.pi(t) for t in self.order})
 
 
 def minimal_abs_segment(m: int, n: int, segment: int = 1) -> ABS:
@@ -173,8 +165,7 @@ def minimal_abs_segment(m: int, n: int, segment: int = 1) -> ABS:
     if h == 0:
         raise ValueError("segment (0, 0) has no symbols")
     syms = [Symbol(segment, i, 1 if i <= m else 0) for i in range(1, h + 1)]
-    pi = {syms[i - 1]: syms[(i - m - 1) % h] for i in range(1, h + 1)}
-    return ABS(syms, pi)
+    return ABS.from_arrows(syms, [(i - m - 1) % h + 1 for i in range(1, h + 1)])
 
 
 def binary_expansion(S: ABS, t: Symbol) -> BinaryExpansion:
@@ -228,19 +219,16 @@ def _expansion_values(S: ABS) -> list[Fraction]:
 
 
 def _merge(summands, values) -> ABS:
-    # values[k][idx] is the expansion value of summands[k].order[idx]
-    seen = set()
-    keyed = []
-    pi = {}
-    for k, summand in enumerate(summands):
-        overlap = seen.intersection(summand.order)
-        if overlap:
-            raise ValueError(f"summands share symbols: {sorted(t.token for t in overlap)}")
-        seen.update(summand.order)
-        pi.update({t: summand.pi(t) for t in summand.order})
-        keyed.extend(((v, k, idx), t) for idx, (v, t) in enumerate(zip(values[k], summand.order)))
-    keyed.sort(key=lambda item: item[0])
-    return ABS([t for _, t in keyed], pi)
+    # values[k][idx] is the expansion value of summands[k].order[idx]; a symbol
+    # shared by two summands shows up as a repeat in the merged order.
+    keyed = sorted((v, k, idx) for k, vs in enumerate(values) for idx, v in enumerate(vs))
+    where = [[0] * len(summand) for summand in summands]
+    for z, (_, k, idx) in enumerate(keyed, start=1):
+        where[k][idx] = z
+    return ABS.from_arrows(
+        [summands[k].order[idx] for _, k, idx in keyed],
+        [where[k][summands[k].arrows[idx] - 1] for _, k, idx in keyed],
+    )
 
 
 def minimal_abs(polygon: NewtonPolygon) -> ABS:
@@ -290,18 +278,12 @@ def abs_from_binary_sequence(nu) -> ABS:
     if any(b not in (0, 1) for b in nu) or not nu:
         raise ValueError(f"need a non-empty 0/1 word, got {nu}")
     d = nu.count(0)
-    syms = [Symbol(0, i, b) for i, b in enumerate(nu, start=1)]
-    pi = {}
-    zeros_seen = 0
-    ones_seen = 0
-    for i, b in enumerate(nu, start=1):
-        if b == 0:
-            zeros_seen += 1
-            pi[syms[i - 1]] = syms[zeros_seen - 1]
-        else:
-            ones_seen += 1
-            pi[syms[i - 1]] = syms[d + ones_seen - 1]
-    return ABS(syms, pi)
+    seen = [0, d]  # arrows so far into the zero block and into the one block
+    arrows = []
+    for b in nu:
+        seen[b] += 1
+        arrows.append(seen[b])
+    return ABS.from_arrows([Symbol(0, i, b) for i, b in enumerate(nu, start=1)], arrows)
 
 
 def is_admissible(S: ABS) -> bool:
@@ -331,9 +313,14 @@ def abs_to_json(S: ABS) -> dict:
 
 
 def abs_from_json(data: dict) -> ABS:
+    """Inverse of abs_to_json; every z and image must lie in 1..n, each z given once."""
     syms = [
         Symbol(seg, pos, label)
         for (seg, pos), label in zip(data["order"], data["delta"], strict=True)
     ]
-    pi = {syms[z - 1]: syms[image - 1] for z, image in data["pi"]}
-    return ABS(syms, pi)
+    arrows = [0] * len(syms)
+    for z, image in data["pi"]:
+        if not 1 <= z <= len(syms) or arrows[z - 1]:
+            raise ValueError(f"arrow source {z} is out of range or given twice")
+        arrows[z - 1] = image
+    return ABS.from_arrows(syms, arrows)

@@ -140,37 +140,6 @@ def bruhat_leq(v: Permutation, w: Permutation) -> bool:
     return _dominance_leq(v.images, w.images)
 
 
-def bruhat_leq_by_covers(v: Permutation, w: Permutation) -> bool:
-    """Reference implementation: walk cover relations w -> w(i j) downward.
-
-    Exponential in degree; kept for cross-checking the dominance criterion.
-    """
-    if v.degree != w.degree:
-        raise DimensionMismatch(f"degrees {v.degree} and {w.degree} differ")
-    h = w.degree
-    target = v.images
-    frontier = {w.images}
-    seen = set(frontier)
-    while frontier:
-        if target in frontier:
-            return True
-        step = set()
-        for images in frontier:
-            lw = sum(1 for a in range(h) for b in range(a + 1, h) if images[a] > images[b])
-            for i in range(h):
-                for j in range(i + 1, h):
-                    if images[i] <= images[j]:
-                        continue
-                    down = list(images)
-                    down[i], down[j] = down[j], down[i]
-                    ld = sum(1 for a in range(h) for b in range(a + 1, h) if down[a] > down[b])
-                    if ld == lw - 1 and tuple(down) not in seen:
-                        step.add(tuple(down))
-        seen.update(step)
-        frontier = step
-    return False
-
-
 def binary_to_jw(nu, ctx: JWContext) -> Permutation:
     """Word to representative: 1-positions get 1..c, 0-positions get c+1..h.
 
@@ -360,31 +329,8 @@ def specializes(w_target: Permutation, w: Permutation, ctx: JWContext, budget: i
 
 
 def generic_specializations_oracle(
-    w: Permutation, ctx: JWContext, budget: int | None = None, method: str = "filter"
+    w: Permutation, ctx: JWContext, budget: int | None = None
 ) -> tuple[Permutation, ...]:
-    """Representatives one length below w that specialize to w.
-
-    method="filter" scans all representatives of length l(w) - 1 with
-    ``specializes``; method="transpositions" builds candidates u (w s)
-    theta(u^{-1}) from length-lowering transpositions s and block elements u.
-    The two agree; tests assert it.
-    """
-    target_length = coxeter_length(w) - 1
-    if method == "filter":
-        candidates = _jw_by_length(ctx.h, ctx.c).get(target_length, ())
-        return tuple(wp for wp in candidates if specializes(wp, w, ctx, budget))
-    if method == "transpositions":
-        found = set()
-        lw = coxeter_length(w)
-        us = parabolic_elements(ctx, budget)
-        for i in range(1, ctx.h + 1):
-            for j in range(i + 1, ctx.h + 1):
-                v = w * Permutation.transposition(ctx.h, i, j)
-                if coxeter_length(v) != lw - 1:
-                    continue
-                for u in us:
-                    wp = u * v * theta(u.inverse(), ctx)
-                    if coxeter_length(wp) == target_length and is_jw(wp, ctx):
-                        found.add(wp)
-        return tuple(sorted(found, key=lambda p: p.images))
-    raise ValueError(f"unknown method {method!r}")
+    """Representatives one length below w that specialize to w, by ``specializes``."""
+    candidates = _jw_by_length(ctx.h, ctx.c).get(coxeter_length(w) - 1, ())
+    return tuple(wp for wp in candidates if specializes(wp, w, ctx, budget))

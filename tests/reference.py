@@ -1,5 +1,8 @@
 """Reference implementations kept only as test oracles.
 
+* The small modification on symbol-keyed bijections: pi is rebuilt as a
+  dict and rewired as sigma composed after pi.  The library swaps two
+  entries of the order and of the arrows instead.
 * The positional cascade on ``ABS`` objects: every stage rebuilds a full
   sequence, members are read off symbol positions, and the A- and B-phases
   are written out as mirrored loops.  The library runs the same cascade on
@@ -14,6 +17,12 @@
   tried, from a table of (u^{-1}, theta(u)) image tuples built once per
   (h, c).  The library searches with pruning instead; tests require both to
   give the same answer.
+* Bruhat order by walking cover relations down from w, against the
+  library's dominance criterion.
+* The generic specializations of w built from transpositions: every
+  u (w s) theta(u^{-1}) with s a length-lowering transposition and u in W_J,
+  kept if it is a representative one length below w.  The library filters
+  the representatives of that length with ``specializes`` instead.
 """
 
 from __future__ import annotations
@@ -23,17 +32,24 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from stratabound.errors import InternalCheckError, PreconditionViolated
+from stratabound.errors import DimensionMismatch, InternalCheckError, InvalidPair, PreconditionViolated
 from stratabound.modification import (
     GENERIC,
     NONGENERIC_A_NEVER_EMPTY,
     NONGENERIC_B_NEVER_EMPTY,
     NONGENERIC_LENGTH_DROP,
     SmallModPair,
-    small_modification,
 )
 from stratabound.sequences import ABS, Symbol, binary_expansion, length, word_length
-from stratabound.weyl import JWContext, Permutation, _dominance_leq
+from stratabound.weyl import (
+    JWContext,
+    Permutation,
+    _dominance_leq,
+    coxeter_length,
+    is_jw,
+    parabolic_elements,
+    theta,
+)
 
 
 @dataclass(frozen=True)
@@ -55,6 +71,26 @@ class RefTrace:
     b: int | None
     result: ABS | None
     verdict: str | None
+
+
+def small_modification(S: ABS, pair: SmallModPair) -> ABS:
+    """Swap the pair in the order and exchange the two symbols' pi-images.
+
+    Rewiring is sigma composed after pi, where sigma transposes the two
+    symbols: arrows into either one land on the other (so only their two
+    preimages change), and the swapped symbols' own images trade places
+    exactly when they point at each other.
+    """
+    i = S.position(pair.zero)
+    j = S.position(pair.one)
+    if i >= j:
+        raise InvalidPair(f"pair {pair} needs the 0-symbol strictly before the 1-symbol")
+    order = list(S.order)
+    order[i - 1], order[j - 1] = order[j - 1], order[i - 1]
+    pi = {t: S.pi(t) for t in order}
+    pi[S.pi_inverse(pair.zero)] = pair.one
+    pi[S.pi_inverse(pair.one)] = pair.zero
+    return ABS(order, pi)
 
 
 def _orbit(S: ABS, start: Symbol) -> list[Symbol]:
@@ -273,3 +309,54 @@ def specializes_bruteforce(w_target: Permutation, w: Permutation, ctx: JWContext
         if _dominance_leq(candidate, w.images):
             return True
     return False
+
+
+def bruhat_leq_by_covers(v: Permutation, w: Permutation) -> bool:
+    """Bruhat order by walking cover relations w -> w(i j) downward; exponential in degree."""
+    if v.degree != w.degree:
+        raise DimensionMismatch(f"degrees {v.degree} and {w.degree} differ")
+    h = w.degree
+    target = v.images
+    frontier = {w.images}
+    seen = set(frontier)
+    while frontier:
+        if target in frontier:
+            return True
+        step = set()
+        for images in frontier:
+            lw = sum(1 for a in range(h) for b in range(a + 1, h) if images[a] > images[b])
+            for i in range(h):
+                for j in range(i + 1, h):
+                    if images[i] <= images[j]:
+                        continue
+                    down = list(images)
+                    down[i], down[j] = down[j], down[i]
+                    ld = sum(1 for a in range(h) for b in range(a + 1, h) if down[a] > down[b])
+                    if ld == lw - 1 and tuple(down) not in seen:
+                        step.add(tuple(down))
+        seen.update(step)
+        frontier = step
+    return False
+
+
+def generic_specializations_by_transpositions(
+    w: Permutation, ctx: JWContext, budget: int | None = None
+) -> tuple[Permutation, ...]:
+    """Representatives one length below w of the form u (w s) theta(u^{-1}).
+
+    s runs over the transpositions that lower the length of w by one and u
+    over W_J, so the budget guards W_J as in ``parabolic_elements``.
+    """
+    found = set()
+    lw = coxeter_length(w)
+    us = parabolic_elements(ctx, budget)
+    for i in range(1, ctx.h + 1):
+        for j in range(i + 1, ctx.h + 1):
+            v = w * Permutation.transposition(ctx.h, i, j)
+            if coxeter_length(v) != lw - 1:
+                continue
+            for u in us:
+                wp = u * v * theta(u.inverse(), ctx)
+                if coxeter_length(wp) == lw - 1 and is_jw(wp, ctx):
+                    found.add(wp)
+    return tuple(sorted(found, key=lambda p: p.images))

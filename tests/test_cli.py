@@ -202,6 +202,11 @@ class TestExitCodes:
         assert code == 1
         assert err
 
+    def test_ascii_flag_is_gone(self, capsys):
+        code, out, err = run(capsys, "abs", "2,5+3,2", "--ascii")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error") and "Traceback" not in err
+
     def test_modify_requires_pair(self, capsys):
         code, _, err = run(capsys, "modify", "2,5+3,2")
         assert code == 1

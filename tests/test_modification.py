@@ -225,9 +225,26 @@ class TestReferenceCascade:
     def test_view_rejects_repeated_symbols(self):
         S = minimal_abs(parse_polygon("2,5+3,2"))
         with pytest.raises(ValueError):
-            ABS._view((S.order[0],) * len(S), S)
+            ABS.from_arrows((S.order[0],) * len(S), S.arrows)
         with pytest.raises(ValueError):
-            ABS._view(S.order[1:], S)
+            ABS.from_arrows(S.order[1:], S.arrows)
+
+    def test_small_modification_equals_symbol_keyed_reference(self):
+        # Swapping two entries of the order and of the arrows against the
+        # sigma-after-pi rewiring of a symbol-keyed bijection, every pair up to h = 8.
+        pairs = 0
+        for poly in enumerate_polygons(8):
+            S = minimal_abs(poly)
+            for pair in eligible_pairs(S):
+                pairs += 1
+                got = small_modification(S, pair)
+                want = reference.small_modification(S, pair)
+                where = (str(poly), pair.spec)
+                assert got.order == want.order, where
+                assert got.arrow_images() == want.arrow_images(), where
+                assert got == want and want == got, where
+                assert hash(got) == hash(want), where
+        assert pairs == 1794
 
 
 def all_traces(max_height):

@@ -253,6 +253,12 @@ class TestAbsContainer:
         S = abs_from_binary_sequence(bits)
         assert abs_from_json(abs_to_json(S)) == S
 
+    def test_json_positions_must_lie_in_range_once(self):
+        data = abs_to_json(minimal_abs_segment(1, 1))  # pi: [[1, 2], [2, 1]]
+        for pi in ([[0, 1], [1, 2]], [[1, 3], [2, 1]], [[1, 2], [1, 2]]):
+            with pytest.raises(ValueError):
+                abs_from_json({**data, "pi": pi})
+
 
 class TestRender:
     def test_single_symbol(self):
