@@ -18,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from stratabound.modification import GENERIC, modification_census
-from stratabound.newton import parse_polygon
 
 
 @dataclass(frozen=True)
@@ -40,25 +39,6 @@ def parse_args(argv=None) -> Config:
     return Config(height=args.height, witnesses=args.witnesses)
 
 
-def renaming_adjacent(polygon_text: str, r: int, q: int) -> bool:
-    """Can equal segments be renamed so the pair becomes adjacent (q = r+1)?"""
-    if r == q:
-        return False
-    segs = [(s.m, s.n) for s in parse_polygon(polygon_text).segments]
-    block = {}
-    i = 0
-    while i < len(segs):
-        j = i
-        while j + 1 < len(segs) and segs[j + 1] == segs[i]:
-            j += 1
-        for k in range(i, j + 1):
-            block[k + 1] = (i + 1, j + 1)
-        i = j + 1
-    r_lo, r_hi = block[r]
-    q_lo, q_hi = block[q]
-    return max(r_lo + 1, q_lo) <= min(r_hi + 1, q_hi)
-
-
 def main(argv=None) -> int:
     cfg = parse_args(argv)
     rows = modification_census(cfg.height)
@@ -67,7 +47,7 @@ def main(argv=None) -> int:
     for row in rows:
         if row.adjacent:
             column = "adjacent"
-        elif renaming_adjacent(row.polygon, row.zero_segment, row.one_segment):
+        elif row.renaming_adjacent():
             column = "renameable"
         else:
             column = "distant"
@@ -88,11 +68,7 @@ def main(argv=None) -> int:
     print(f"generic verdicts from non-adjacent pairs: {len(generic_nonadjacent)}")
     for row in generic_nonadjacent[: cfg.witnesses]:
         print(f"  {row.polygon}  pair {row.pair}")
-    distant_generic = [
-        w
-        for w in witnesses
-        if not renaming_adjacent(w.polygon, w.zero_segment, w.one_segment)
-    ]
+    distant_generic = [w for w in witnesses if not w.renaming_adjacent()]
     print(f"generic verdicts beyond renaming-adjacency: {len(distant_generic)}")
     return 0
 

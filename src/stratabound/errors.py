@@ -35,7 +35,11 @@ class PreconditionViolated(StrataboundError):
 
 
 class ContextTooLarge(StrataboundError):
-    """The block subgroup W_J is larger than the budget, which caps |W_J| = c!·d!."""
+    """A specialization search would visit more nodes than the budget allows.
+
+    The budget (``--budget``, ``STRATABOUND_BUDGET``) caps the nodes one
+    search visits, one per row choice tried; |W_J| = c!·d! does not count.
+    """
 
 
 class DimensionMismatch(StrataboundError):

@@ -306,6 +306,31 @@ class CensusRow:
     def adjacent(self) -> bool:
         return self.one_segment == self.zero_segment + 1
 
+    def renaming_adjacent(self) -> bool:
+        """Can equal segments be renamed so the pair becomes adjacent (q = r + 1)?
+
+        Equal coprime segments form blocks of consecutive indices, and any
+        permutation within a block is an automorphism of the sequence.
+        """
+        from .newton import parse_polygon
+
+        r, q = self.zero_segment, self.one_segment
+        if r == q:
+            return False
+        segs = [(s.m, s.n) for s in parse_polygon(self.polygon).segments]
+        block = {}
+        i = 0
+        while i < len(segs):
+            j = i
+            while j + 1 < len(segs) and segs[j + 1] == segs[i]:
+                j += 1
+            for k in range(i, j + 1):
+                block[k + 1] = (i + 1, j + 1)
+            i = j + 1
+        r_lo, r_hi = block[r]
+        q_lo, q_hi = block[q]
+        return max(r_lo + 1, q_lo) <= min(r_hi + 1, q_hi)
+
 
 def modification_census(max_height: int) -> list[CensusRow]:
     """Classify every valid pair of every polygon up to the height bound."""

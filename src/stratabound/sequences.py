@@ -9,7 +9,11 @@ its arrows: for each position z, the position of pi(symbol at z).
 The length of a sequence counts the pairs (t, t') with t before t',
 delta(t) = 0 and delta(t') = 1.  Each symbol also carries a binary expansion
 0.b_1 b_2 ... with b_i = delta(pi^{-i}(t)), an eventually periodic word whose
-exact rational value drives the canonical ordering of direct sums.
+exact rational value drives the canonical ordering of direct sums.  Along one
+pi-orbit consecutive words are rotations of each other, so one walk per orbit
+yields every value.  The minimal sequence of a polygon merges its segments by
+these values; the values of a segment (m, n) depend on (m, n) alone (pi^{-1}
+shifts positions by m) and are computed once per process.
 
 >>> S = minimal_abs_segment(1, 2)
 >>> [t.token for t in S.order]
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import InternalCheckError, SymbolNotInSequence
 from .newton import NewtonPolygon
@@ -146,10 +150,6 @@ class ABS:
         """pi as a permutation of positions: entry z is the position of pi(symbol at z)."""
         return self.arrows
 
-    def reordered(self, order) -> "ABS":
-        """Same symbols and bijection, new order."""
-        return ABS(order, {t: self.pi(t) for t in self.order})
-
 
 def minimal_abs_segment(m: int, n: int, segment: int = 1) -> ABS:
     """The minimal sequence of one coprime segment (m, n).
@@ -161,11 +161,16 @@ def minimal_abs_segment(m: int, n: int, segment: int = 1) -> ABS:
     >>> S.arrow_images()
     (8, 9, 1, 2, 3, 4, 5, 6, 7)
     """
-    h = m + n
-    if h == 0:
+    if m + n == 0:
         raise ValueError("segment (0, 0) has no symbols")
+    return ABS.from_arrows(*_segment_parts(m, n, segment))
+
+
+def _segment_parts(m: int, n: int, segment: int) -> tuple[list[Symbol], list[int]]:
+    # order and arrows of minimal_abs_segment(m, n, segment)
+    h = m + n
     syms = [Symbol(segment, i, 1 if i <= m else 0) for i in range(1, h + 1)]
-    return ABS.from_arrows(syms, [(i - m - 1) % h + 1 for i in range(1, h + 1)])
+    return syms, [(i - m - 1) % h + 1 for i in range(1, h + 1)]
 
 
 def binary_expansion(S: ABS, t: Symbol) -> BinaryExpansion:
@@ -211,23 +216,70 @@ def direct_sum(*summands: ABS) -> ABS:
     >>> [t.token for t in S.order]
     ['1^1_1', '1^2_1', '0^1_2', '0^2_2']
     """
-    return _merge(summands, [_expansion_values(summand) for summand in summands])
+    return _merge([(S.order, S.arrows) for S in summands], [_expansion_values(S) for S in summands])
 
 
 def _expansion_values(S: ABS) -> list[Fraction]:
-    return [binary_expansion(S, t).value for t in S.order]
+    # One walk along the inverse arrows per orbit, then one shift per symbol.
+    inverse = [0] * len(S)
+    for z, image in enumerate(S.arrows):
+        inverse[image - 1] = z
+    values: list[Fraction | None] = [None] * len(S)
+    for start in range(len(S)):
+        if values[start] is not None:
+            continue
+        orbit = [start]
+        z = inverse[start]
+        while z != start:
+            orbit.append(z)
+            z = inverse[z]
+        for z, v in zip(orbit, _cycle_values([S.order[z].label for z in orbit])):
+            values[z] = v
+    return values
 
 
-def _merge(summands, values) -> ABS:
-    # values[k][idx] is the expansion value of summands[k].order[idx]; a symbol
-    # shared by two summands shows up as a repeat in the merged order.
+def _cycle_values(bits: list[int]) -> list[Fraction]:
+    # bits[k] is the label of z_k on an orbit z_0, ..., z_{p-1} listed along
+    # pi^{-1}; z_k's expansion word is bits[k+1], ..., bits[k+p] (indices mod
+    # p), so the word of z_{k+1} is the word of z_k rotated left by one bit.
+    p = len(bits)
+    full = (1 << p) - 1
+    word = 0
+    for bit in bits[1:] + bits[:1]:
+        word = word << 1 | bit
+    out = []
+    for k in range(p):
+        out.append(Fraction(word, full))
+        word = (word << 1 & full) | bits[(k + 1) % p]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _segment_values(m: int, n: int) -> tuple[Fraction, ...]:
+    """Expansion values of t_1 .. t_{m+n} in the minimal sequence of segment (m, n).
+
+    pi^{-1} shifts positions by +m, and for coprime (m, n) that one orbit
+    visits every position.
+    """
+    h = m + n
+    orbit = [(k * m) % h for k in range(h)]
+    values = [Fraction(0)] * h
+    for z, v in zip(orbit, _cycle_values([1 if z < m else 0 for z in orbit])):
+        values[z] = v
+    return tuple(values)
+
+
+def _merge(parts, values) -> ABS:
+    # parts[k] is the (order, arrows) of summand k and values[k][idx] the
+    # expansion value of its symbol idx; a symbol shared by two summands shows
+    # up as a repeat in the merged order.
     keyed = sorted((v, k, idx) for k, vs in enumerate(values) for idx, v in enumerate(vs))
-    where = [[0] * len(summand) for summand in summands]
+    where = [[0] * len(vs) for vs in values]
     for z, (_, k, idx) in enumerate(keyed, start=1):
         where[k][idx] = z
     return ABS.from_arrows(
-        [summands[k].order[idx] for _, k, idx in keyed],
-        [where[k][summands[k].arrows[idx] - 1] for _, k, idx in keyed],
+        [parts[k][0][idx] for _, k, idx in keyed],
+        [where[k][parts[k][1][idx] - 1] for _, k, idx in keyed],
     )
 
 
@@ -236,27 +288,23 @@ def minimal_abs(polygon: NewtonPolygon) -> ABS:
 
     Expansion ties across summands can only come from equal segments; anything
     else would break the canonical order, so it is checked outright.  The
-    expansion values of each distinct (m, n) are computed once and serve both
-    the tie check and the merge.
+    expansion values of each distinct (m, n) are computed once per process,
+    straight from (m, n), and serve both the tie check and the merge, which
+    reads each segment's order and arrows without building its sequence.
     """
-    summands = [
-        minimal_abs_segment(seg.m, seg.n, segment=k)
-        for k, seg in enumerate(polygon.segments, start=1)
-    ]
-    values: dict[tuple[int, int], list[Fraction]] = {}
+    segments = [(seg.m, seg.n) for seg in polygon.segments]
     by_value: dict[Fraction, tuple[int, int]] = {}
-    for seg, summand in zip(polygon.segments, summands):
-        pair = (seg.m, seg.n)
-        if pair in values:
-            continue
-        values[pair] = _expansion_values(summand)
-        for v in values[pair]:
+    for pair in dict.fromkeys(segments):
+        for v in _segment_values(*pair):
             other = by_value.setdefault(v, pair)
             if other != pair:
                 raise InternalCheckError(
                     f"expansion tie {v} between distinct segments {other} and {pair}"
                 )
-    return _merge(summands, [values[seg.m, seg.n] for seg in polygon.segments])
+    return _merge(
+        [_segment_parts(m, n, k) for k, (m, n) in enumerate(segments, start=1)],
+        [_segment_values(m, n) for m, n in segments],
+    )
 
 
 def to_binary_sequence(S: ABS) -> tuple[int, ...]:

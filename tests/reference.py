@@ -13,10 +13,20 @@
   the positional definition on non-adjacent pairs whose marker orbit wraps
   early, while no B-side divergence is known; tests pin both facts.
 * The expansion-sorted length bound used to certify never-empty cascades.
+* ``reordered``: the same symbols and bijection in a new order, through a
+  symbol-keyed mapping.
+* The minimal sequence of a polygon built from ``binary_expansion`` of each
+  segment's symbols and a symbol-keyed merge.  The library computes each
+  distinct segment's expansion values once, straight from (m, n).
 * The specialization test by full scan: every u in W_J = S_c x S_d is
   tried, from a table of (u^{-1}, theta(u)) image tuples built once per
   (h, c).  The library searches with pruning instead; tests require both to
   give the same answer.
+* The block subgroup W_J itself (``parabolic_elements``), guarded by a cap
+  on |W_J| = c! d!.
+* The pruned witness search with each prefix bound checked by sorting
+  (the tableau form of the dominance criterion).  The library adds packed
+  threshold counts instead; tests require the same answer.
 * Bruhat order by walking cover relations down from w, against the
   library's dominance criterion.
 * The generic specializations of w built from transpositions: every
@@ -28,11 +38,18 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from stratabound.errors import DimensionMismatch, InternalCheckError, InvalidPair, PreconditionViolated
+from stratabound.errors import (
+    ContextTooLarge,
+    DimensionMismatch,
+    InternalCheckError,
+    InvalidPair,
+    PreconditionViolated,
+)
 from stratabound.modification import (
     GENERIC,
     NONGENERIC_A_NEVER_EMPTY,
@@ -40,16 +57,39 @@ from stratabound.modification import (
     NONGENERIC_LENGTH_DROP,
     SmallModPair,
 )
-from stratabound.sequences import ABS, Symbol, binary_expansion, length, word_length
+from stratabound.newton import NewtonPolygon
+from stratabound.sequences import ABS, Symbol, binary_expansion, length, minimal_abs_segment, word_length
 from stratabound.weyl import (
     JWContext,
     Permutation,
     _dominance_leq,
     coxeter_length,
     is_jw,
-    parabolic_elements,
+    resolve_budget,
     theta,
 )
+
+
+def reordered(S: ABS, order) -> ABS:
+    """Same symbols and bijection, new order."""
+    return ABS(order, {t: S.pi(t) for t in S.order})
+
+
+def minimal_abs_by_expansions(polygon: NewtonPolygon) -> ABS:
+    """Minimal sequence of a polygon: its segments' symbols sorted by
+    (expansion value, segment, position), each value read off
+    ``binary_expansion``, with pi carried over symbol by symbol."""
+    summands = [
+        minimal_abs_segment(seg.m, seg.n, segment=k)
+        for k, seg in enumerate(polygon.segments, start=1)
+    ]
+    keyed = sorted(
+        (binary_expansion(S, t).value, k, z, t)
+        for k, S in enumerate(summands)
+        for z, t in enumerate(S.order)
+    )
+    pi = {t: S.pi(t) for S in summands for t in S.order}
+    return ABS([t for *_, t in keyed], pi)
 
 
 @dataclass(frozen=True)
@@ -132,7 +172,7 @@ def _move_after(S: ABS, sym: Symbol, target: Symbol) -> ABS:
         raise InternalCheckError(f"move-after expects {sym!r} strictly before {target!r}")
     order = list(S.order)
     order.insert(j - 1, order.pop(i - 1))
-    return S.reordered(order)
+    return reordered(S, order)
 
 
 def _move_before(S: ABS, sym: Symbol, target: Symbol) -> ABS:
@@ -143,7 +183,7 @@ def _move_before(S: ABS, sym: Symbol, target: Symbol) -> ABS:
         raise InternalCheckError(f"move-before expects {target!r} strictly before {sym!r}")
     order = list(S.order)
     order.insert(j - 1, order.pop(i - 1))
-    return S.reordered(order)
+    return reordered(S, order)
 
 
 def construction_a(S0: ABS, pair: SmallModPair, source: ABS | None = None) -> RefTrace:
@@ -300,6 +340,29 @@ def _conjugation_table(h: int, c: int) -> tuple[tuple[tuple[int, ...], tuple[int
     return tuple(table)
 
 
+def _check_budget(ctx: JWContext, budget: int | None) -> None:
+    """Refuse a context whose W_J = S_c x S_d is larger than the budget."""
+    limit = resolve_budget(budget)
+    size = math.factorial(ctx.c) * math.factorial(ctx.d)
+    if size > limit:
+        raise ContextTooLarge(f"|W_J| = {size} exceeds the budget {limit} for {ctx}")
+
+
+@lru_cache(maxsize=None)
+def _parabolic_images(h: int, c: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        p + q
+        for p in itertools.permutations(range(1, c + 1))
+        for q in itertools.permutations(range(c + 1, h + 1))
+    )
+
+
+def parabolic_elements(ctx: JWContext, budget: int | None = None) -> tuple[Permutation, ...]:
+    """The block subgroup W_J = S_c x S_d; guarded by a cap on |W_J|."""
+    _check_budget(ctx, budget)
+    return tuple(Permutation(imgs) for imgs in _parabolic_images(ctx.h, ctx.c))
+
+
 def specializes_bruteforce(w_target: Permutation, w: Permutation, ctx: JWContext) -> bool:
     """True when u^{-1} w_target theta(u) <= w for some u, by scanning all of W_J."""
     wt = w_target.images
@@ -360,3 +423,72 @@ def generic_specializations_by_transpositions(
                 if coxeter_length(wp) == lw - 1 and is_jw(wp, ctx):
                     found.add(wp)
     return tuple(sorted(found, key=lambda p: p.images))
+
+
+def witness_exists_sorted(wt: tuple[int, ...], w: tuple[int, ...], c: int) -> bool:
+    """The witness search with the bound checked by sorting each prefix.
+
+    Same search, bound and order of tries as ``weyl._witness_exists``, with
+    no node budget; the library sums packed counts instead of sorting.
+    """
+    # Depth-first search for u in W_J with v = u^{-1} wt theta(u) <= w, built
+    # one row of v at a time.  Row a of v reads wt at column b = theta(u)(a);
+    # rows a <= d take b in 1..d and fix u^{-1}(b + c) = a + c, rows a > d take
+    # b in d+1..h and fix u^{-1}(b - d) = a - d.  v(a) = u^{-1}(wt(b)) is known
+    # once wt(b) has a label.  An undetermined entry of a value block is
+    # counted as the smallest label still free in that block, which bounds
+    # every count #{a <= i : v(a) >= j} from below; a prefix whose sorted
+    # bound exceeds w's sorted prefix entrywise (the tableau form of the
+    # dominance criterion) cannot complete.  Sources are tried in increasing
+    # order, so u = id is the first leaf.
+    h = len(wt)
+    d = h - c
+    w_prefix = [sorted(w[: i + 1], reverse=True) for i in range(h)]
+    col_of = [0] * (h + 1)  # col_of[x] = the column b with wt(b) = x
+    for b, x in enumerate(wt, start=1):
+        col_of[x] = b
+    label = [0] * (h + 1)  # label[x] = u^{-1}(x), 0 while free
+    labelled = [False] * (h + 1)  # labelled[l]: some x has label l
+    row_of = [0] * (h + 1)  # row_of[b] = the row reading column b, 0 while unread
+    reads = [0] * (h + 1)  # reads[a] = wt(b) for the column b that row a reads
+
+    def prefix_fits(i: int) -> bool:
+        values = []
+        free_low = free_high = 0
+        for a in range(1, i + 1):
+            x = reads[a]
+            if label[x]:
+                values.append(label[x])
+            elif x <= c:
+                free_low += 1
+            else:
+                free_high += 1
+        for lab, k in ((1, free_low), (c + 1, free_high)):
+            while k:
+                if not labelled[lab]:
+                    values.append(lab)
+                    k -= 1
+                lab += 1
+        values.sort(reverse=True)
+        bound = w_prefix[i - 1]
+        return all(values[r] <= bound[r] for r in range(i))
+
+    def place(a: int) -> bool:
+        if a > h:
+            return True
+        cols, shift, lab = (range(1, d + 1), c, a + c) if a <= d else (range(d + 1, h + 1), -d, a - d)
+        labelled[lab] = True
+        for b in cols:
+            if row_of[b]:
+                continue
+            x = b + shift
+            reads[a], row_of[b], label[x] = wt[b - 1], a, lab
+            # re-check every prefix holding an entry this choice determined
+            lo = row_of[col_of[x]] or a
+            if all(prefix_fits(i) for i in range(lo, a + 1)) and place(a + 1):
+                return True
+            row_of[b], label[x] = 0, 0
+        labelled[lab] = False
+        return False
+
+    return place(1)

@@ -341,6 +341,16 @@ class TestVerdicts:
         assert row.adjacent
         assert not CensusRow("x", "y", GENERIC, 1, 3).adjacent
 
+    def test_renaming_adjacent_uses_blocks_of_equal_segments(self):
+        def row(polygon, r, q):
+            return CensusRow(polygon, "-", GENERIC, r, q)
+
+        assert row("0,1+0,1+1,0", 1, 3).renaming_adjacent()  # rename 1 <-> 2
+        assert row("0,1+0,1+1,0", 1, 2).renaming_adjacent()
+        assert not row("0,1+1,1+1,0", 1, 3).renaming_adjacent()
+        assert not row("0,1+0,1+1,0", 2, 2).renaming_adjacent()
+        assert not row("0,1+0,1+1,0", 3, 1).renaming_adjacent()
+
     def test_generic_drop_is_one(self):
         for _poly, _pair, trace in all_traces(7):
             if trace.verdict == GENERIC:
@@ -377,21 +387,8 @@ class TestVerdicts:
         for row in modification_census(8):
             if row.verdict != GENERIC:
                 continue
-            poly = parse_polygon(row.polygon)
-            segs = [(s.m, s.n) for s in poly.segments]
-            block = {}
-            i = 0
-            while i < len(segs):
-                j = i
-                while j + 1 < len(segs) and segs[j + 1] == segs[i]:
-                    j += 1
-                for k in range(i, j + 1):
-                    block[k + 1] = (i + 1, j + 1)
-                i = j + 1
-            r_lo, r_hi = block[row.zero_segment]
-            q_lo, q_hi = block[row.one_segment]
             assert row.zero_segment != row.one_segment
-            assert max(r_lo + 1, q_lo) <= min(r_hi + 1, q_hi), (row.polygon, row.pair)
+            assert row.renaming_adjacent(), (row.polygon, row.pair)
 
     @pytest.mark.xfail(
         strict=True,
@@ -443,7 +440,7 @@ class TestWeylBridge:
             w_prime, u, eps = specialization_to_weyl(trace, ctx)
             assert w_prime == binary_to_jw(to_binary_sequence(trace.result), ctx)
             w = binary_to_jw(to_binary_sequence(trace.source), ctx)
-            if ctx.h <= 12:  # the h=17 block subgroup exceeds the search budget
+            if ctx.h <= 12:  # h=17: test_golden_specialization_h17
                 assert specializes(w_prime, w, ctx)
             # u really is the block-subgroup conjugator: eps = x u x^-1.
             from stratabound.weyl import x_element
@@ -452,15 +449,17 @@ class TestWeylBridge:
             assert x * u * x.inverse() == eps
 
     def test_golden_specialization_h17(self):
-        # |W_J| = 5! 12! exceeds the default budget, so the budget is explicit.
+        # The budget caps search nodes, not |W_J| = 5! 12!: the default budget
+        # suffices, and a budget below the h rows any witness needs raises.
         poly = parse_polygon(golden.POLYGON_17)
         trace = make_trace(golden.POLYGON_17, golden.PAIR_17)
         ctx = JWContext.for_polygon(poly)
         w_prime, _, _ = specialization_to_weyl(trace, ctx)
         w = binary_to_jw(to_binary_sequence(trace.source), ctx)
         assert specializes(w_prime, w, ctx, budget=math.factorial(5) * math.factorial(12))
+        assert specializes(w_prime, w, ctx)
         with pytest.raises(ContextTooLarge):
-            specializes(w_prime, w, ctx)
+            specializes(w_prime, w, ctx, budget=ctx.h - 1)
 
     def test_position_conjugation_identity(self):
         trace = make_trace(golden.POLYGON_12, golden.PAIR_12)

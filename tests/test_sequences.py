@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import golden
 from conftest import binary_words, polygons
-from stratabound.errors import SymbolNotInSequence
+from reference import minimal_abs_by_expansions, reordered
+from stratabound import sequences
+from stratabound.errors import InternalCheckError, SymbolNotInSequence
 from stratabound.newton import enumerate_polygons, parse_polygon
 from stratabound.sequences import (
     ABS,
@@ -104,6 +106,12 @@ class TestExpansion:
                 if t.label == u.label:
                     assert S.position(S.pi(t)) < S.position(S.pi(u))
 
+    def test_orbit_walk_values_equal_binary_expansion(self):
+        # Several orbits per sequence: one per segment of the polygon.
+        for poly in enumerate_polygons(8):
+            S = minimal_abs(poly)
+            assert sequences._expansion_values(S) == [binary_expansion(S, t).value for t in S.order]
+
     def test_distinct_expansions_sort_with_the_order(self):
         for poly in enumerate_polygons(8):
             S = minimal_abs(poly)
@@ -122,6 +130,11 @@ class TestDirectSum:
         S = minimal_abs_segment(1, 1, 1)
         with pytest.raises(ValueError):
             direct_sum(S, minimal_abs_segment(1, 1, 1))
+
+    def test_direct_sum_of_segments_equals_minimal_abs(self):
+        for poly in enumerate_polygons(10, min_z=2):
+            summands = [minimal_abs_segment(seg.m, seg.n, k) for k, seg in enumerate(poly.segments, start=1)]
+            assert direct_sum(*summands) == minimal_abs(poly), str(poly)
 
     def test_length_adds_cross_terms_only(self):
         # Within each summand the minimal sequence contributes zero length.
@@ -150,6 +163,22 @@ class TestMinimalAbs:
         S = minimal_abs(parse_polygon(golden.POLYGON_12))
         assert token_row(S) == golden.tokens(golden.S_12)
         assert S.arrow_images() == golden.S_12_ARROWS
+
+    def test_equals_expansion_reference_h12(self):
+        for poly in enumerate_polygons(12):
+            S = minimal_abs(poly)
+            R = minimal_abs_by_expansions(poly)
+            assert S == R and hash(S) == hash(R), str(poly)
+
+    def test_tie_between_distinct_segments_raises(self, monkeypatch):
+        # Distinct coprime segments never share an expansion value, so the
+        # tie is forced by giving every symbol the value 1/2.
+        monkeypatch.setattr(sequences, "_segment_values", lambda m, n: (Fraction(1, 2),) * (m + n))
+        tie = r"expansion tie 1/2 between distinct segments \(1, 2\) and \(1, 1\)"
+        with pytest.raises(InternalCheckError, match=tie):
+            minimal_abs(parse_polygon("1,2+1,1"))
+        # equal segments may share values: they are told apart by segment
+        assert len(minimal_abs(parse_polygon("1,1+1,1"))) == 4
 
     def test_minimal_abs_is_admissible(self):
         for poly in enumerate_polygons(8):
@@ -237,7 +266,7 @@ class TestAbsContainer:
 
     def test_reordered_keeps_pi(self):
         S = minimal_abs_segment(1, 2)
-        R = S.reordered(reversed(S.order))
+        R = reordered(S, reversed(S.order))
         assert R.order == tuple(reversed(S.order))
         for t in S.order:
             assert R.pi(t) == S.pi(t)

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import bruhat_leq_by_covers, generic_specializations_by_transpositions, specializes_bruteforce
+from reference import (
+    bruhat_leq_by_covers,
+    generic_specializations_by_transpositions,
+    parabolic_elements,
+    specializes_bruteforce,
+    witness_exists_sorted,
+)
 from stratabound.errors import ContextTooLarge, DimensionMismatch
 from stratabound.newton import enumerate_polygons, parse_polygon
 from stratabound.sequences import abs_from_binary_sequence, length, minimal_abs, to_binary_sequence
@@ -24,7 +30,6 @@ from stratabound.weyl import (
     is_jw,
     jw_elements,
     jw_to_binary,
-    parabolic_elements,
     specializes,
     theta,
     x_element,
@@ -225,6 +230,16 @@ class TestSpecializationOrder:
         with pytest.raises(ContextTooLarge):
             specializes(Permutation.identity(12), Permutation.identity(12), ctx, budget=10)
 
+    def test_budget_counts_search_nodes(self):
+        # u = id is the first leaf: one node per row, so h nodes fit and h - 1 do not.
+        ctx = JWContext(h=12, c=6)
+        ident = Permutation.identity(12)
+        assert specializes(ident, ident, ctx, budget=12)
+        with pytest.raises(ContextTooLarge, match="more than 11 nodes"):
+            specializes(ident, ident, ctx, budget=11)
+        # |W_J| = 6! 6! = 518400 no longer counts against the budget
+        assert specializes(ident, ident, ctx, budget=100)
+
     def test_search_equals_bruteforce_on_all_pairs(self):
         for h in range(1, 7):
             for c in range(0, h + 1):
@@ -242,6 +257,18 @@ class TestSpecializationOrder:
             for wp in jw_elements(ctx):
                 if coxeter_length(wp) == coxeter_length(w) - 1:
                     assert specializes(wp, w, ctx) == specializes_bruteforce(wp, w, ctx), (str(poly), wp)
+
+    def test_packed_search_equals_sorted_search_h9(self):
+        # Every candidate the oracle filter tests for a polygon of height 9.
+        for poly in enumerate_polygons(9):
+            if poly.height != 9:
+                continue
+            ctx = JWContext.for_polygon(poly)
+            w = binary_to_jw(to_binary_sequence(minimal_abs(poly)), ctx)
+            for wp in jw_elements(ctx):
+                if coxeter_length(wp) == coxeter_length(w) - 1:
+                    expected = witness_exists_sorted(wp.images, w.images, ctx.c)
+                    assert specializes(wp, w, ctx) == expected, (str(poly), wp)
 
     def test_oracle_methods_agree(self):
         for h in range(2, 7):
