@@ -17,7 +17,9 @@ Both phases run one loop on integers.  A symbol's id is its 0-based
 position in the small modification's order, so ``small.arrows`` is the id
 table of pi (shifted by one), and the phase state is an order of ids plus the
 inverse array of positions, which a move updates only over the range it
-shifted.  Each stage keeps its order as an id tuple, and its ``sequence``
+shifted.  Each stage keeps ids only: its order as an id tuple, its marker as
+an id and its members as an id tuple.  The marker and member ``Symbol``s are
+looked up in ``small.order`` when read, and the stage's ``sequence``
 (``small.arrows`` carried to that order) is built when first read.
 
 The never-empties verdict relies on the iteration being a deterministic map
@@ -28,8 +30,7 @@ repeats with a non-empty set, the cascade provably cycles forever.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import InternalCheckError, InvalidPair, PreconditionViolated
 from .sequences import ABS, Symbol, abs_to_json, length, render_ascii, to_binary_sequence, word_length
@@ -79,30 +80,45 @@ def parse_pair(text: str) -> SmallModPair:
     return SmallModPair(Symbol(r, i, 0), Symbol(q, j, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Stage:
     """One cascade stage: the order after this stage's move, marker, members.
 
-    ``order`` lists symbol ids (positions in the small modification's order);
-    ``sequence`` is that order as an ABS, built when first read.
+    Holds ids only (positions in the small modification's order): ``order``
+    lists them, ``marker_id`` is the marker's and ``member_ids`` the members'
+    in sequence order.  ``marker`` and ``members`` are those ids read as
+    ``Symbol``s, and ``sequence`` is the order as an ABS, built when first read.
+    Stages compare and hash by value.
     """
 
     kind: str  # "A" or "B"
     index: int
     order: tuple[int, ...]
-    marker: Symbol
-    members: tuple[Symbol, ...]  # in sequence order
+    marker_id: int
+    member_ids: tuple[int, ...]
     small: ABS = field(repr=False)
+    _sequence: ABS | None = field(default=None, init=False, compare=False, repr=False)
 
-    @cached_property
+    @property
+    def marker(self) -> Symbol:
+        return self.small.order[self.marker_id]
+
+    @property
+    def members(self) -> tuple[Symbol, ...]:
+        syms = self.small.order
+        return tuple([syms[t] for t in self.member_ids])
+
+    @property
     def sequence(self) -> ABS:
-        small = self.small
-        where = [0] * len(self.order)  # where[t] = 1-based position of id t in this order
-        for z, t in enumerate(self.order, start=1):
-            where[t] = z
-        return ABS.from_arrows(
-            [small.order[t] for t in self.order], [where[small.arrows[t] - 1] for t in self.order]
-        )
+        if self._sequence is None:
+            small = self.small
+            where = [0] * len(self.order)  # where[t] = 1-based position of id t in this order
+            for z, t in enumerate(self.order, start=1):
+                where[t] = z
+            self._sequence = ABS.from_arrows(
+                [small.order[t] for t in self.order], [where[small.arrows[t] - 1] for t in self.order]
+            )
+        return self._sequence
 
 
 @dataclass(frozen=True)
@@ -173,10 +189,9 @@ def _phase(kind: str, small: ABS, pair: SmallModPair, start: tuple[int, ...]) ->
     the marker and the n-th set) and whether its (order, n mod p) key repeated
     with a non-empty set, i.e. the phase never empties.
     """
-    syms = small.order
     pi = [z - 1 for z in small.arrows]
-    label = [t.label for t in syms]
-    segment = [t.segment for t in syms]
+    label = [t.label for t in small.order]
+    segment = [t.segment for t in small.order]
     a_phase = kind == "A"
     orbit = [small.position(pair.zero if a_phase else pair.one) - 1]
     while pi[orbit[-1]] != orbit[0]:
@@ -205,7 +220,7 @@ def _phase(kind: str, small: ABS, pair: SmallModPair, start: tuple[int, ...]) ->
         else:
             members = [t for t in order[pos[marker] + 1 :] if label[t] == lab and pos[pi[t]] < bound]
         key = tuple(order)
-        stages.append(Stage(kind, n, key, syms[marker], tuple([syms[t] for t in members]), small))
+        stages.append(Stage(kind, n, key, marker, tuple(members), small))
         if not members:
             return stages, False
         state = (key, n % p)
@@ -244,16 +259,19 @@ def construction_b(trace: ModificationTrace) -> ModificationTrace:
     if trace.b is not None or trace.verdict is not None:
         raise PreconditionViolated("trace already completed")
     stages, never_empty = _phase("B", trace.small, trace.pair, trace.stages[-1].order)
-    all_stages = trace.stages + tuple(stages)
+    b = None
     if never_empty:
-        return replace(trace, stages=all_stages, verdict=NONGENERIC_B_NEVER_EMPTY)
-
-    before = length(trace.source)
-    after = word_length(trace.small.order[t].label for t in stages[-1].order)
-    if before - after < 1:
-        raise InternalCheckError(f"full modification raised the length ({before} -> {after})")
-    verdict = GENERIC if before - after == 1 else NONGENERIC_LENGTH_DROP
-    return replace(trace, stages=all_stages, b=stages[-1].index, verdict=verdict)
+        verdict = NONGENERIC_B_NEVER_EMPTY
+    else:
+        b = stages[-1].index
+        before = length(trace.source)
+        after = word_length(trace.small.order[t].label for t in stages[-1].order)
+        if before - after < 1:
+            raise InternalCheckError(f"full modification raised the length ({before} -> {after})")
+        verdict = GENERIC if before - after == 1 else NONGENERIC_LENGTH_DROP
+    return ModificationTrace(
+        trace.source, trace.pair, trace.small, trace.stages + tuple(stages), trace.a, b, verdict
+    )
 
 
 def full_modification(S: ABS, pair: SmallModPair) -> ModificationTrace:
@@ -340,11 +358,10 @@ def modification_census(max_height: int) -> list[CensusRow]:
     rows = []
     for polygon in enumerate_polygons(max_height):
         S = minimal_abs(polygon)
+        name = str(polygon)
         for pair in eligible_pairs(S):
             trace = full_modification(S, pair)
-            rows.append(
-                CensusRow(str(polygon), pair.spec, trace.verdict, pair.zero.segment, pair.one.segment)
-            )
+            rows.append(CensusRow(name, pair.spec, trace.verdict, pair.zero.segment, pair.one.segment))
     return rows
 
 

@@ -13,7 +13,10 @@ exact rational value drives the canonical ordering of direct sums.  Along one
 pi-orbit consecutive words are rotations of each other, so one walk per orbit
 yields every value.  The minimal sequence of a polygon merges its segments by
 these values; the values of a segment (m, n) depend on (m, n) alone (pi^{-1}
-shifts positions by m) and are computed once per process.
+shifts positions by m) and are computed once per process, as integer words
+over the denominator 2^(m+n) - 1.  The merge compares exact integer keys: the
+first K bits of each value's expansion, K the sum of the polygon's distinct
+segment heights, so no ``Fraction`` is built or compared.
 
 >>> S = minimal_abs_segment(1, 2)
 >>> [t.token for t in S.order]
@@ -83,7 +86,7 @@ class ABS:
     as a symbol mapping; ``ABS.from_arrows`` takes the positions directly.
     """
 
-    __slots__ = ("order", "arrows", "_pos", "_hash")
+    __slots__ = ("order", "arrows", "_pos", "_hash", "_length")
 
     def __init__(self, order, pi):
         order = tuple(order)
@@ -109,6 +112,7 @@ class ABS:
         self.order = order
         self.arrows = arrows
         self._hash = None
+        self._length = None
 
     def __len__(self):
         return len(self.order)
@@ -187,10 +191,14 @@ def binary_expansion(S: ABS, t: Symbol) -> BinaryExpansion:
 def length(S: ABS) -> int:
     """Number of pairs with a 0-labelled symbol ordered before a 1-labelled one.
 
+    Counted once per sequence and kept with it.
+
     >>> length(minimal_abs_segment(2, 7))
     0
     """
-    return word_length(t.label for t in S.order)
+    if S._length is None:
+        S._length = word_length(t.label for t in S.order)
+    return S._length
 
 
 def word_length(word) -> int:
@@ -233,15 +241,17 @@ def _expansion_values(S: ABS) -> list[Fraction]:
         while z != start:
             orbit.append(z)
             z = inverse[z]
-        for z, v in zip(orbit, _cycle_values([S.order[z].label for z in orbit])):
-            values[z] = v
+        full = (1 << len(orbit)) - 1
+        for z, word in zip(orbit, _cycle_words([S.order[z].label for z in orbit])):
+            values[z] = Fraction(word, full)
     return values
 
 
-def _cycle_values(bits: list[int]) -> list[Fraction]:
+def _cycle_words(bits: list[int]) -> list[int]:
     # bits[k] is the label of z_k on an orbit z_0, ..., z_{p-1} listed along
     # pi^{-1}; z_k's expansion word is bits[k+1], ..., bits[k+p] (indices mod
     # p), so the word of z_{k+1} is the word of z_k rotated left by one bit.
+    # Word w stands for the value w / (2^p - 1).
     p = len(bits)
     full = (1 << p) - 1
     word = 0
@@ -249,30 +259,32 @@ def _cycle_values(bits: list[int]) -> list[Fraction]:
         word = word << 1 | bit
     out = []
     for k in range(p):
-        out.append(Fraction(word, full))
+        out.append(word)
         word = (word << 1 & full) | bits[(k + 1) % p]
     return out
 
 
 @lru_cache(maxsize=None)
-def _segment_values(m: int, n: int) -> tuple[Fraction, ...]:
+def _segment_words(m: int, n: int) -> tuple[int, tuple[int, ...]]:
     """Expansion values of t_1 .. t_{m+n} in the minimal sequence of segment (m, n).
 
+    Returned as the denominator 2^(m+n) - 1 and one integer word per symbol.
     pi^{-1} shifts positions by +m, and for coprime (m, n) that one orbit
     visits every position.
     """
     h = m + n
     orbit = [(k * m) % h for k in range(h)]
-    values = [Fraction(0)] * h
-    for z, v in zip(orbit, _cycle_values([1 if z < m else 0 for z in orbit])):
-        values[z] = v
-    return tuple(values)
+    words = [0] * h
+    for z, word in zip(orbit, _cycle_words([1 if z < m else 0 for z in orbit])):
+        words[z] = word
+    return (1 << h) - 1, tuple(words)
 
 
 def _merge(parts, values) -> ABS:
     # parts[k] is the (order, arrows) of summand k and values[k][idx] the
-    # expansion value of its symbol idx; a symbol shared by two summands shows
-    # up as a repeat in the merged order.
+    # expansion value of its symbol idx, or an integer key in the same order
+    # with the same ties; a symbol shared by two summands shows up as a repeat
+    # in the merged order.
     keyed = sorted((v, k, idx) for k, vs in enumerate(values) for idx, v in enumerate(vs))
     where = [[0] * len(vs) for vs in values]
     for z, (_, k, idx) in enumerate(keyed, start=1):
@@ -283,27 +295,46 @@ def _merge(parts, values) -> ABS:
     )
 
 
+def _merge_keys(segments) -> dict[tuple[int, int], list[int]]:
+    """Integer merge keys of each distinct segment (m, n), checked for ties.
+
+    Symbol values are w / (2^p - 1), p = m + n: purely periodic expansions of
+    period p.  A key is floor(value * 2^K), the expansion's first K bits, with
+    K the sum of the distinct heights.  By Fine and Wilf, expansions of periods
+    p and q that agree on their first p + q - gcd(p, q) <= K bits are equal,
+    so the keys keep the values' order and ties exactly in at most K + 1 bits.
+    Ties across distinct segments would break the canonical order and raise.
+    """
+    distinct = dict.fromkeys(segments)
+    width = sum(m + n for m, n in distinct)
+    owner: dict[int, tuple[int, int]] = {}
+    for pair in distinct:
+        den, words = _segment_words(*pair)
+        keys = distinct[pair] = [(word << width) // den for word in words]
+        for word, key in zip(words, keys):
+            other = owner.setdefault(key, pair)
+            if other != pair:
+                raise InternalCheckError(
+                    f"expansion tie {Fraction(word, den)} between distinct segments {other} and {pair}"
+                )
+    return distinct
+
+
 def minimal_abs(polygon: NewtonPolygon) -> ABS:
     """Minimal sequence of a polygon: direct sum of its minimal segments.
 
     Expansion ties across summands can only come from equal segments; anything
     else would break the canonical order, so it is checked outright.  The
-    expansion values of each distinct (m, n) are computed once per process,
-    straight from (m, n), and serve both the tie check and the merge, which
-    reads each segment's order and arrows without building its sequence.
+    expansion words of each distinct (m, n) are computed once per process,
+    straight from (m, n); ``_merge_keys`` turns them into exact integer keys
+    for both the tie check and the merge, which reads each segment's order and
+    arrows without building its sequence.
     """
     segments = [(seg.m, seg.n) for seg in polygon.segments]
-    by_value: dict[Fraction, tuple[int, int]] = {}
-    for pair in dict.fromkeys(segments):
-        for v in _segment_values(*pair):
-            other = by_value.setdefault(v, pair)
-            if other != pair:
-                raise InternalCheckError(
-                    f"expansion tie {v} between distinct segments {other} and {pair}"
-                )
+    keys = _merge_keys(segments)
     return _merge(
         [_segment_parts(m, n, k) for k, (m, n) in enumerate(segments, start=1)],
-        [_segment_values(m, n) for m, n in segments],
+        [keys[pair] for pair in segments],
     )
 
 

@@ -221,7 +221,13 @@ def theta(u: Permutation, ctx: JWContext) -> Permutation:
 
 
 def resolve_budget(budget: int | None) -> int:
-    return DEFAULT_BUDGET if budget is None else int(budget)
+    """The node budget to search with: the default, or a given one of at least 1."""
+    if budget is None:
+        return DEFAULT_BUDGET
+    budget = int(budget)
+    if budget < 1:
+        raise ValueError(f"the search budget must be at least 1 node, got {budget}")
+    return budget
 
 
 def _witness_exists(wt: tuple[int, ...], w: tuple[int, ...], c: int, limit: int) -> bool:

@@ -176,6 +176,18 @@ class TestSweepSubcommand:
         assert code == 3
         assert "budget exceeded" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_flag_below_one_is_usage_error(self, capsys, budget):
+        code, out, err = run(capsys, "sweep", "--height", "3", "--budget", budget)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error") and "at least 1" in err
+
+    def test_budget_env_zero_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("STRATABOUND_BUDGET", "0")
+        code, out, err = run(capsys, "sweep", "--height", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error") and "at least 1" in err
+
 
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self, capsys):

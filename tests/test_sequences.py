@@ -170,10 +170,37 @@ class TestMinimalAbs:
             R = minimal_abs_by_expansions(poly)
             assert S == R and hash(S) == hash(R), str(poly)
 
+    def test_equals_expansion_reference_h13_h14(self):
+        # Heights 13 and 14 exactly: every mix of up to five distinct periods
+        # there, each one a case of the Fine-Wilf key width in _merge_keys.
+        checked = 0
+        for poly in enumerate_polygons(14):
+            if poly.height < 13:
+                continue
+            S = minimal_abs(poly)
+            R = minimal_abs_by_expansions(poly)
+            assert S == R and hash(S) == hash(R), str(poly)
+            checked += 1
+        assert checked == 4255
+
+    def test_merge_keys_stay_narrow_with_many_distinct_heights(self):
+        # Heights 4, 3, 5, 7, 11, 13, 17, 19, 23 (h = 102): their lcm is
+        # 446,185,740, so keys over a common denominator 2^lcm - 1 would take
+        # about 56 MB each.  Keys are at most h + 1 bits, checked before the merge.
+        poly = parse_polygon("1,3+1,2+2,3+3,4+5,6+6,7+8,9+9,10+11,12")
+        keys = sequences._merge_keys([(seg.m, seg.n) for seg in poly.segments])
+        assert max(key.bit_length() for ks in keys.values() for key in ks) <= poly.height + 1
+        S = minimal_abs(poly)
+        R = minimal_abs_by_expansions(poly)
+        assert S == R and hash(S) == hash(R)
+
     def test_tie_between_distinct_segments_raises(self, monkeypatch):
         # Distinct coprime segments never share an expansion value, so the
-        # tie is forced by giving every symbol the value 1/2.
-        monkeypatch.setattr(sequences, "_segment_values", lambda m, n: (Fraction(1, 2),) * (m + n))
+        # tie is forced by giving every symbol the value 1/2: word 1 over the
+        # denominator 2.  The patch replaces _segment_words, the cached
+        # function the merge keys are computed from, so no cached entry can
+        # stand in for it.
+        monkeypatch.setattr(sequences, "_segment_words", lambda m, n: (2, (1,) * (m + n)))
         tie = r"expansion tie 1/2 between distinct segments \(1, 2\) and \(1, 1\)"
         with pytest.raises(InternalCheckError, match=tie):
             minimal_abs(parse_polygon("1,2+1,1"))
