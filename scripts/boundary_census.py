@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from stratabound.boundary import boundary_set, boundary_set_oracle
 from stratabound.newton import enumerate_polygons
+from stratabound.weyl import resolve_budget
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,17 @@ def parse_args(argv=None) -> Config:
         action="store_true",
         help="also compute the specialization-order oracle and compare",
     )
-    parser.add_argument("--budget", type=int, default=None, help="oracle enumeration budget")
+    parser.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help="most nodes one specialization search of the oracle may visit (default 10^6, at least 1)",
+    )
     args = parser.parse_args(argv)
+    try:
+        resolve_budget(args.budget)
+    except ValueError as exc:
+        parser.error(str(exc))
     return Config(height=args.height, oracle=args.oracle, budget=args.budget)
 
 

@@ -17,7 +17,9 @@ Both phases run one loop on integers.  A symbol's id is its 0-based
 position in the small modification's order, so ``small.arrows`` is the id
 table of pi (shifted by one), and the phase state is an order of ids plus the
 inverse array of positions, which a move updates only over the range it
-shifted.  Each stage keeps ids only: its order as an id tuple, its marker as
+shifted.  The id tables of pi, labels and segments are built once per small
+modification by the A-phase and carried on the partial trace to the B-phase.
+Each stage keeps ids only: its order as an id tuple, its marker as
 an id and its members as an id tuple.  The marker and member ``Symbol``s are
 looked up in ``small.order`` when read, and the stage's ``sequence``
 (``small.arrows`` carried to that order) is built when first read.
@@ -130,6 +132,8 @@ class ModificationTrace:
     a: int | None
     b: int | None
     verdict: str | None
+    # pi, labels and segments of ``small`` by symbol id, shared by both phases
+    ids: tuple[list[int], list[int], list[int]] | None = field(default=None, compare=False, repr=False)
 
     @property
     def result(self) -> ABS | None:
@@ -182,16 +186,22 @@ def _move(order: list[int], pos: list[int], sym: int, target: int, after: bool) 
         pos[order[z]] = z
 
 
-def _phase(kind: str, small: ABS, pair: SmallModPair, start: tuple[int, ...]) -> tuple[list[Stage], bool]:
+def _id_tables(small: ABS) -> tuple[list[int], list[int], list[int]]:
+    """pi, the labels and the segments of ``small``, indexed by symbol id."""
+    return [z - 1 for z in small.arrows], [t.label for t in small.order], [t.segment for t in small.order]
+
+
+def _phase(
+    kind: str, small: ABS, ids: tuple[list[int], list[int], list[int]], pair: SmallModPair, start: tuple[int, ...]
+) -> tuple[list[Stage], bool]:
     """Run the A- or B-phase of ``small`` from the id order ``start``.
 
-    Returns the phase's stages (stage n holds the order after the n-th move,
-    the marker and the n-th set) and whether its (order, n mod p) key repeated
-    with a non-empty set, i.e. the phase never empties.
+    ``ids`` are the id tables of ``small`` (``_id_tables``).  Returns the
+    phase's stages (stage n holds the order after the n-th move, the marker
+    and the n-th set) and whether its (order, n mod p) key repeated with a
+    non-empty set, i.e. the phase never empties.
     """
-    pi = [z - 1 for z in small.arrows]
-    label = [t.label for t in small.order]
-    segment = [t.segment for t in small.order]
+    pi, label, segment = ids
     a_phase = kind == "A"
     orbit = [small.position(pair.zero if a_phase else pair.one) - 1]
     while pi[orbit[-1]] != orbit[0]:
@@ -240,7 +250,8 @@ def construction_a(S0: ABS, pair: SmallModPair, source: ABS | None = None) -> Mo
     marker alpha_n, and A_n computed in S^(n).  Ends with a = first empty
     index, or verdict NonGenericANeverEmpty when the iteration state repeats.
     """
-    stages, never_empty = _phase("A", S0, pair, tuple(range(len(S0))))
+    ids = _id_tables(S0)
+    stages, never_empty = _phase("A", S0, ids, pair, tuple(range(len(S0))))
     return ModificationTrace(
         source=source if source is not None else S0,
         pair=pair,
@@ -249,6 +260,7 @@ def construction_a(S0: ABS, pair: SmallModPair, source: ABS | None = None) -> Mo
         a=None if never_empty else stages[-1].index,
         b=None,
         verdict=NONGENERIC_A_NEVER_EMPTY if never_empty else None,
+        ids=ids,
     )
 
 
@@ -258,7 +270,8 @@ def construction_b(trace: ModificationTrace) -> ModificationTrace:
         raise PreconditionViolated("B-phase needs a completed A-phase (a recorded)")
     if trace.b is not None or trace.verdict is not None:
         raise PreconditionViolated("trace already completed")
-    stages, never_empty = _phase("B", trace.small, trace.pair, trace.stages[-1].order)
+    ids = trace.ids if trace.ids is not None else _id_tables(trace.small)
+    stages, never_empty = _phase("B", trace.small, ids, trace.pair, trace.stages[-1].order)
     b = None
     if never_empty:
         verdict = NONGENERIC_B_NEVER_EMPTY
@@ -270,7 +283,7 @@ def construction_b(trace: ModificationTrace) -> ModificationTrace:
             raise InternalCheckError(f"full modification raised the length ({before} -> {after})")
         verdict = GENERIC if before - after == 1 else NONGENERIC_LENGTH_DROP
     return ModificationTrace(
-        trace.source, trace.pair, trace.small, trace.stages + tuple(stages), trace.a, b, verdict
+        trace.source, trace.pair, trace.small, trace.stages + tuple(stages), trace.a, b, verdict, ids
     )
 
 

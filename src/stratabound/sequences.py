@@ -14,9 +14,10 @@ pi-orbit consecutive words are rotations of each other, so one walk per orbit
 yields every value.  The minimal sequence of a polygon merges its segments by
 these values; the values of a segment (m, n) depend on (m, n) alone (pi^{-1}
 shifts positions by m) and are computed once per process, as integer words
-over the denominator 2^(m+n) - 1.  The merge compares exact integer keys: the
-first K bits of each value's expansion, K the sum of the polygon's distinct
-segment heights, so no ``Fraction`` is built or compared.
+over the denominator 2^(m+n) - 1.  This merge and ``direct_sum`` compare the
+same exact integer keys: the first K bits of each value's expansion, K the
+sum of the distinct expansion periods (the segment heights, or the summands'
+orbit lengths), so no ``Fraction`` is built or compared.
 
 >>> S = minimal_abs_segment(1, 2)
 >>> [t.token for t in S.order]
@@ -218,33 +219,39 @@ def direct_sum(*summands: ABS) -> ABS:
 
     The expansion of a symbol is unchanged by the merge (pi stays within each
     summand), and pi is compatible with the merged order because
-    b(pi(t)) = (delta(t) + b(t)) / 2 is monotone in the sort key.
+    b(pi(t)) = (delta(t) + b(t)) / 2 is monotone in the sort key.  The merge
+    compares the exact integer keys of ``_expansion_keys``.
 
     >>> S = direct_sum(minimal_abs_segment(1, 1, 1), minimal_abs_segment(1, 1, 2))
     >>> [t.token for t in S.order]
     ['1^1_1', '1^2_1', '0^1_2', '0^2_2']
     """
-    return _merge([(S.order, S.arrows) for S in summands], [_expansion_values(S) for S in summands])
+    return _merge(
+        [(S.order, S.arrows) for S in summands], _expansion_keys([_expansion_words(S) for S in summands])
+    )
 
 
-def _expansion_values(S: ABS) -> list[Fraction]:
-    # One walk along the inverse arrows per orbit, then one shift per symbol.
+def _expansion_words(S: ABS) -> list[tuple[int, int]]:
+    """``(w, 2^p - 1)`` for the symbol at each position: its value w / (2^p - 1), p its orbit length.
+
+    One walk along the inverse arrows per orbit, then one shift per symbol.
+    """
     inverse = [0] * len(S)
     for z, image in enumerate(S.arrows):
         inverse[image - 1] = z
-    values: list[Fraction | None] = [None] * len(S)
+    words: list[tuple[int, int] | None] = [None] * len(S)
     for start in range(len(S)):
-        if values[start] is not None:
+        if words[start] is not None:
             continue
         orbit = [start]
         z = inverse[start]
         while z != start:
             orbit.append(z)
             z = inverse[z]
-        full = (1 << len(orbit)) - 1
+        den = (1 << len(orbit)) - 1
         for z, word in zip(orbit, _cycle_words([S.order[z].label for z in orbit])):
-            values[z] = Fraction(word, full)
-    return values
+            words[z] = (word, den)
+    return words
 
 
 def _cycle_words(bits: list[int]) -> list[int]:
@@ -282,9 +289,8 @@ def _segment_words(m: int, n: int) -> tuple[int, tuple[int, ...]]:
 
 def _merge(parts, values) -> ABS:
     # parts[k] is the (order, arrows) of summand k and values[k][idx] the
-    # expansion value of its symbol idx, or an integer key in the same order
-    # with the same ties; a symbol shared by two summands shows up as a repeat
-    # in the merged order.
+    # merge key of its symbol idx; a symbol shared by two summands shows up as
+    # a repeat in the merged order.
     keyed = sorted((v, k, idx) for k, vs in enumerate(values) for idx, v in enumerate(vs))
     where = [[0] * len(vs) for vs in values]
     for z, (_, k, idx) in enumerate(keyed, start=1):
@@ -295,22 +301,35 @@ def _merge(parts, values) -> ABS:
     )
 
 
+def _expansion_keys(values) -> list[list[int]]:
+    """Exact integer merge keys of ``values[k]``, lists of ``(w, 2^p - 1)`` pairs.
+
+    Each pair is the value w / (2^p - 1): a purely periodic expansion of
+    period p.  Its key is floor(value * 2^K), the expansion's first K bits,
+    with K the sum of the distinct periods in all lists.  By Fine and Wilf,
+    expansions of periods p and q that agree on their first
+    p + q - gcd(p, q) <= K bits are equal, so the keys keep the values' order
+    and ties exactly in at most K + 1 bits.
+
+    >>> _expansion_keys([[(1, 7), (2, 7), (4, 7)], [(1, 1)]])  # 1/7, 2/7, 4/7 and 1 in K = 3 + 1 bits
+    [[2, 4, 9], [16]]
+    """
+    width = sum({den.bit_length() for vs in values for _, den in vs})
+    return [[(word << width) // den for word, den in vs] for vs in values]
+
+
 def _merge_keys(segments) -> dict[tuple[int, int], list[int]]:
     """Integer merge keys of each distinct segment (m, n), checked for ties.
 
-    Symbol values are w / (2^p - 1), p = m + n: purely periodic expansions of
-    period p.  A key is floor(value * 2^K), the expansion's first K bits, with
-    K the sum of the distinct heights.  By Fine and Wilf, expansions of periods
-    p and q that agree on their first p + q - gcd(p, q) <= K bits are equal,
-    so the keys keep the values' order and ties exactly in at most K + 1 bits.
+    The keys are ``_expansion_keys`` of the segments' words (period m + n).
     Ties across distinct segments would break the canonical order and raise.
     """
     distinct = dict.fromkeys(segments)
-    width = sum(m + n for m, n in distinct)
+    groups = [_segment_words(*pair) for pair in distinct]
+    all_keys = _expansion_keys([[(word, den) for word in words] for den, words in groups])
     owner: dict[int, tuple[int, int]] = {}
-    for pair in distinct:
-        den, words = _segment_words(*pair)
-        keys = distinct[pair] = [(word << width) // den for word in words]
+    for pair, (den, words), keys in zip(distinct, groups, all_keys):
+        distinct[pair] = keys
         for word, key in zip(words, keys):
             other = owner.setdefault(key, pair)
             if other != pair:

@@ -15,9 +15,11 @@
 * The expansion-sorted length bound used to certify never-empty cascades.
 * ``reordered``: the same symbols and bijection in a new order, through a
   symbol-keyed mapping.
-* The minimal sequence of a polygon built from ``binary_expansion`` of each
-  segment's symbols and a symbol-keyed merge.  The library computes each
-  distinct segment's expansion values once, straight from (m, n).
+* The direct sum built from ``binary_expansion`` of each summand's symbols,
+  sorted on ``Fraction`` values, and a symbol-keyed merge; the minimal
+  sequence of a polygon is that sum of its minimal segments.  The library
+  merges on exact integer keys instead (``_expansion_keys``), and computes
+  each distinct segment's expansion words once, straight from (m, n).
 * The specialization test by full scan: every u in W_J = S_c x S_d is
   tried, from a table of (u^{-1}, theta(u)) image tuples built once per
   (h, c).  The library searches with pruning instead; tests require both to
@@ -75,14 +77,11 @@ def reordered(S: ABS, order) -> ABS:
     return ABS(order, {t: S.pi(t) for t in S.order})
 
 
-def minimal_abs_by_expansions(polygon: NewtonPolygon) -> ABS:
-    """Minimal sequence of a polygon: its segments' symbols sorted by
-    (expansion value, segment, position), each value read off
-    ``binary_expansion``, with pi carried over symbol by symbol."""
-    summands = [
-        minimal_abs_segment(seg.m, seg.n, segment=k)
-        for k, seg in enumerate(polygon.segments, start=1)
-    ]
+def direct_sum_by_expansions(*summands: ABS) -> ABS:
+    """Direct sum: the summands' symbols sorted by (expansion value, summand,
+    position), each value a ``Fraction`` read off ``binary_expansion``, with
+    pi carried over symbol by symbol.  A symbol in two summands raises
+    ``ValueError``, as in the library."""
     keyed = sorted(
         (binary_expansion(S, t).value, k, z, t)
         for k, S in enumerate(summands)
@@ -90,6 +89,14 @@ def minimal_abs_by_expansions(polygon: NewtonPolygon) -> ABS:
     )
     pi = {t: S.pi(t) for S in summands for t in S.order}
     return ABS([t for *_, t in keyed], pi)
+
+
+def minimal_abs_by_expansions(polygon: NewtonPolygon) -> ABS:
+    """Minimal sequence of a polygon: the direct sum by expansions of its
+    minimal segments, in segment order."""
+    return direct_sum_by_expansions(
+        *(minimal_abs_segment(seg.m, seg.n, segment=k) for k, seg in enumerate(polygon.segments, start=1))
+    )
 
 
 @dataclass(frozen=True)

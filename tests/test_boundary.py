@@ -6,6 +6,7 @@ import pytest
 
 import golden
 from stratabound.boundary import (
+    BOUNDARY_CACHE_SIZE,
     Report,
     boundary_set,
     boundary_set_oracle,
@@ -16,7 +17,7 @@ from stratabound.boundary import (
 )
 from stratabound.errors import PreconditionViolated, VerificationFailure
 from stratabound.modification import parse_pair
-from stratabound.newton import NewtonPolygon, Segment, enumerate_polygons, parse_polygon
+from stratabound.newton import NewtonPolygon, Segment, dual, enumerate_polygons, parse_polygon
 from stratabound.sequences import abs_from_binary_sequence, length, minimal_abs
 
 
@@ -63,6 +64,28 @@ class TestBoundarySet:
         assert len(payload["elements"]) == 6
         for element in payload["elements"]:
             assert element["pairs"]
+
+
+class TestBoundaryCache:
+    def test_repeat_call_returns_the_same_object(self):
+        first = boundary_set(parse_polygon("2,5+3,2"))
+        assert boundary_set(parse_polygon("2,5+3,2")) is first
+
+    def test_cached_equals_uncached_up_to_height_9(self):
+        for poly in enumerate_polygons(9):
+            assert boundary_set(poly) == boundary_set.__wrapped__(poly), str(poly)
+
+    def test_bound_is_the_module_constant(self):
+        assert boundary_set.cache_info().maxsize == BOUNDARY_CACHE_SIZE
+
+    def test_duality_reads_both_sets_from_the_cache(self):
+        poly = parse_polygon("2,5+3,2")
+        boundary_set(poly)
+        boundary_set(dual(poly))
+        before = boundary_set.cache_info()
+        assert verify_duality(poly).ok
+        after = boundary_set.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
 
 
 class TestDirectSum:

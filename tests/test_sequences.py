@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import golden
 from conftest import binary_words, polygons
-from reference import minimal_abs_by_expansions, reordered
-from stratabound import sequences
+from reference import direct_sum_by_expansions, minimal_abs_by_expansions, reordered
+from stratabound import boundary, sequences
 from stratabound.errors import InternalCheckError, SymbolNotInSequence
 from stratabound.newton import enumerate_polygons, parse_polygon
 from stratabound.sequences import (
@@ -110,7 +110,8 @@ class TestExpansion:
         # Several orbits per sequence: one per segment of the polygon.
         for poly in enumerate_polygons(8):
             S = minimal_abs(poly)
-            assert sequences._expansion_values(S) == [binary_expansion(S, t).value for t in S.order]
+            values = [Fraction(word, den) for word, den in sequences._expansion_words(S)]
+            assert values == [binary_expansion(S, t).value for t in S.order]
 
     def test_distinct_expansions_sort_with_the_order(self):
         for poly in enumerate_polygons(8):
@@ -135,6 +136,42 @@ class TestDirectSum:
         for poly in enumerate_polygons(10, min_z=2):
             summands = [minimal_abs_segment(seg.m, seg.n, k) for k, seg in enumerate(poly.segments, start=1)]
             assert direct_sum(*summands) == minimal_abs(poly), str(poly)
+
+    def test_equals_expansion_reference_on_verify_direct_sum_summands(self, monkeypatch):
+        # Every summand list verify_direct_sum builds at h <= 10: a boundary
+        # type of one adjacent pair among the other segments' minimal sequences.
+        sums = []
+
+        def checked(*summands):
+            S = direct_sum(*summands)
+            R = direct_sum_by_expansions(*summands)
+            assert S == R and hash(S) == hash(R), summands
+            sums.append(S)
+            return S
+
+        monkeypatch.setattr(boundary, "direct_sum", checked)
+        for poly in enumerate_polygons(10, min_z=2):
+            assert boundary.verify_direct_sum(poly).ok, str(poly)
+        # Each passing report maps the pairs' elements one to one onto B(poly).
+        assert len(sums) == sum(len(boundary.boundary_set(poly).elements) for poly in enumerate_polygons(10, min_z=2))
+
+    def test_equals_expansion_reference_on_words_with_several_periods(self):
+        # The canonical sequence of a binary word splits into orbits of
+        # several lengths, so one merge mixes several distinct periods.
+        mixed = 0
+        for n in range(1, 9):
+            for word in itertools.product((0, 1), repeat=n):
+                T = abs_from_binary_sequence(word)
+                mixed += len({den for _, den in sequences._expansion_words(T)}) > 1
+                for summands in (
+                    (T,),
+                    (T, minimal_abs_segment(1, 2, 1)),
+                    (minimal_abs_segment(2, 1, 1), T, minimal_abs_segment(1, 1, 2), minimal_abs_segment(3, 2, 3)),
+                ):
+                    S = direct_sum(*summands)
+                    R = direct_sum_by_expansions(*summands)
+                    assert S == R and hash(S) == hash(R), (word, summands)
+        assert mixed > 100
 
     def test_length_adds_cross_terms_only(self):
         # Within each summand the minimal sequence contributes zero length.
