@@ -3,6 +3,10 @@
 
 Example:
     python scripts/boundary_census.py --height 6 --oracle
+
+Exits 0 when the oracle agrees on every polygon, 2 on a mismatch, and 3 with
+``budget exceeded: ...`` on stderr when one specialization search needs more
+nodes than ``--budget``.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from stratabound.boundary import boundary_set, boundary_set_oracle
+from stratabound.errors import ContextTooLarge
 from stratabound.newton import enumerate_polygons
 from stratabound.weyl import resolve_budget
 
@@ -56,7 +61,11 @@ def main(argv=None) -> int:
         sizes[n] += 1
         line = f"{str(polygon):30s} |B| = {n}"
         if cfg.oracle:
-            oracle = boundary_set_oracle(polygon, budget=cfg.budget)
+            try:
+                oracle = boundary_set_oracle(polygon, budget=cfg.budget)
+            except ContextTooLarge as exc:
+                print(f"budget exceeded: {exc}", file=sys.stderr)
+                return 3
             agree = bset.types() == oracle.types()
             mismatches += 0 if agree else 1
             line += "  oracle: " + ("agree" if agree else "MISMATCH")

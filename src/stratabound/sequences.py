@@ -17,7 +17,9 @@ shifts positions by m) and are computed once per process, as integer words
 over the denominator 2^(m+n) - 1.  This merge and ``direct_sum`` compare the
 same exact integer keys: the first K bits of each value's expansion, K the
 sum of the distinct expansion periods (the segment heights, or the summands'
-orbit lengths), so no ``Fraction`` is built or compared.
+orbit lengths), so no ``Fraction`` is built or compared.  ``minimal_abs`` is
+memoized per polygon, bounded at ``MINIMAL_ABS_CACHE_SIZE`` (64) polygons,
+so the oracle reads the sequence the combinatorial side just built.
 
 >>> S = minimal_abs_segment(1, 2)
 >>> [t.token for t in S.order]
@@ -339,6 +341,20 @@ def _merge_keys(segments) -> dict[tuple[int, int], list[int]]:
     return distinct
 
 
+# Bound on the polygons whose minimal sequence is kept.  Measured traffic per
+# pass of each benchmark workload: oracle_sweep calls minimal_abs 676 times on
+# 338 polygons (boundary_set_oracle reuses the sequence boundary_set built
+# just before, 50% repeats), cli_traces 196 on 40 (80%, spread over the
+# pass), verify_suite 591 on 447 (24%) and census 983 on 983 (0%).  64 holds
+# every repeat of the first two.  Holding verify_suite's 447 polygons as
+# well (512, 144 hits instead of 44) was measured to cost the census, which
+# never repeats: the entries it keeps alive move about five more young-object
+# garbage collections per pass into its timed items.  An entry holds about
+# 2 KB by tracemalloc.
+MINIMAL_ABS_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=MINIMAL_ABS_CACHE_SIZE)
 def minimal_abs(polygon: NewtonPolygon) -> ABS:
     """Minimal sequence of a polygon: direct sum of its minimal segments.
 
@@ -348,6 +364,10 @@ def minimal_abs(polygon: NewtonPolygon) -> ABS:
     straight from (m, n); ``_merge_keys`` turns them into exact integer keys
     for both the tie check and the merge, which reads each segment's order and
     arrows without building its sequence.
+
+    Memoized per polygon (at most ``MINIMAL_ABS_CACHE_SIZE`` of them, least
+    recently used dropped first); a sequence is immutable, so every caller
+    may share it.
     """
     segments = [(seg.m, seg.n) for seg in polygon.segments]
     keys = _merge_keys(segments)

@@ -14,9 +14,19 @@ theta is conjugation by the fixed shuffle x(i) = i + d (i <= c), i - c (else).
 builds u one row of u^{-1} w' theta(u) at a time and abandons a branch as
 soon as a lower bound on some prefix count breaks the dominance criterion
 for Bruhat order.  ``generic_specializations_oracle`` runs that search on
-every representative one length below w.  The budget (``--budget``,
-``STRATABOUND_BUDGET``) caps the nodes one search visits, not |W_J| = c! d!,
-so a large block subgroup costs nothing the search does not actually try.
+every representative one length below w, bucketed by length through the
+O(h) sequence length of each representative's word.  The budget
+(``--budget``, ``STRATABOUND_BUDGET``) caps the nodes one search visits, not
+|W_J| = c! d!, so a large block subgroup costs nothing the search does not
+actually try.
+
+The search's tables depend on (h, c) alone and are built once per process:
+the packed label counts, and for each row the columns it may read and the
+prefix sums of the labels still free once it and the rows before it have
+fixed theirs (rows 1..d fix c+1..c+d, rows d+1..h fix 1..c, each in order).
+Within one search, the prefix counts of the rows a choice leaves untouched
+are kept from the node above, so a node re-counts only the rows from the
+first one whose entry it determined.
 
 >>> ctx = JWContext(h=3, c=1)
 >>> x_element(ctx).images
@@ -33,6 +43,7 @@ from functools import lru_cache
 
 from .errors import ContextTooLarge, DimensionMismatch
 from .newton import NewtonPolygon
+from .sequences import word_length
 
 DEFAULT_BUDGET = 10**6
 
@@ -203,9 +214,10 @@ def jw_elements(ctx: JWContext) -> tuple[Permutation, ...]:
 @lru_cache(maxsize=None)
 def _jw_by_length(h: int, c: int) -> dict[int, tuple[Permutation, ...]]:
     # Coxeter length -> the representatives of that length, in jw_elements order.
+    # A representative's length is the sequence length of its word, O(h).
     buckets: dict[int, list[Permutation]] = {}
     for w in _jw_elements(h, c):
-        buckets.setdefault(coxeter_length(w), []).append(w)
+        buckets.setdefault(word_length(0 if v > c else 1 for v in w.images), []).append(w)
     return {length: tuple(ws) for length, ws in buckets.items()}
 
 
@@ -230,6 +242,42 @@ def resolve_budget(budget: int | None) -> int:
     return budget
 
 
+@lru_cache(maxsize=None)
+def _search_tables(h: int, c: int) -> tuple[tuple[int, ...], int, tuple[tuple, ...]]:
+    """The packed label counts ``T``, the guard bits and the per-row tables of the search.
+
+    Field j (width ``width``, j = 1..h) of a packed integer holds a count of
+    entries >= j, so label s contributes ``T[s]``, a 1 in fields 1..s.  Row
+    a's table is ``(cols, shift, lab, low, high)``: the columns it may read,
+    the offset from column to value, the label it fixes, and the prefix sums
+    of ``T`` over the labels still free in the low (1..c) and high (c+1..h)
+    value blocks once rows 1..a have fixed theirs.  Rows 1..d fix c+1..c+d
+    and rows d+1..h fix 1..c, each in order, so the free labels at row a
+    depend on a alone.
+    """
+    d = h - c
+    width = h.bit_length() + 1
+    T = [0] * (h + 1)
+    for s in range(1, h + 1):
+        T[s] = T[s - 1] | 1 << (width * (s - 1))
+    guard = T[h] << (width - 1)
+
+    def sums(labels) -> tuple[int, ...]:
+        # sums[k] = the T values of the k smallest labels given
+        out = [0]
+        for lab in labels:
+            out.append(out[-1] + T[lab])
+        return tuple(out)
+
+    rows = [None]
+    for a in range(1, h + 1):
+        if a <= d:
+            rows.append((range(1, d + 1), c, a + c, sums(range(1, c + 1)), sums(range(a + c + 1, h + 1))))
+        else:
+            rows.append((range(d + 1, h + 1), -d, a - d, sums(range(a - d + 1, c + 1)), (0,)))
+    return tuple(T), guard, tuple(rows)
+
+
 def _witness_exists(wt: tuple[int, ...], w: tuple[int, ...], c: int, limit: int) -> bool:
     # Depth-first search for u in W_J with v = u^{-1} wt theta(u) <= w, built
     # one row of v at a time.  Row a of v reads wt at column b = theta(u)(a);
@@ -241,20 +289,13 @@ def _witness_exists(wt: tuple[int, ...], w: tuple[int, ...], c: int, limit: int)
     # exceeds w's count for some j (the dominance criterion) cannot complete.
     # Sources are tried in increasing order, so u = id is the first leaf.
     #
-    # Counts are packed: field j (width `width`, j = 1..h) of an integer holds
-    # #{entries >= j}, so label s contributes T[s], a 1 in fields 1..s, and a
-    # prefix's count vector is the sum of its entries' T values.  Each field
-    # holds a count up to h below its top (guard) bit, so (w's counts + guard
-    # bits) - (the bound's counts) borrows across no field, and leaves every
-    # guard bit set exactly when w's count is at least the bound's in every
-    # field.
+    # Counts are packed (see ``_search_tables``): a prefix's count vector is
+    # the sum of its entries' T values.  Each field holds a count up to h
+    # below its top (guard) bit, so (w's counts + guard bits) - (the bound's
+    # counts) borrows across no field, and leaves every guard bit set exactly
+    # when w's count is at least the bound's in every field.
     h = len(wt)
-    d = h - c
-    width = h.bit_length() + 1
-    T = [0] * (h + 1)
-    for s in range(1, h + 1):
-        T[s] = T[s - 1] | 1 << (width * (s - 1))
-    guard = T[h] << (width - 1)
+    T, guard, rows = _search_tables(h, c)
     w_counts = [guard] * (h + 1)  # w_counts[i] = guard bits + w's counts over rows 1..i
     for i in range(1, h + 1):
         w_counts[i] = w_counts[i - 1] + T[w[i - 1]]
@@ -262,27 +303,22 @@ def _witness_exists(wt: tuple[int, ...], w: tuple[int, ...], c: int, limit: int)
     for b, x in enumerate(wt, start=1):
         col_of[x] = b
     label = [0] * (h + 1)  # label[x] = u^{-1}(x), 0 while free
-    labelled = [False] * (h + 1)  # labelled[l]: some x has label l
     row_of = [0] * (h + 1)  # row_of[b] = the row reading column b, 0 while unread
     reads = [0] * (h + 1)  # reads[a] = wt(b) for the column b that row a reads
+    # Sums over rows 1..i: the T values of the labelled entries, and the
+    # numbers of unlabelled entries in the low and in the high value block.
+    # Entries 0..valid hold for the current labels.
+    known = [0] * (h + 1)
+    free_low = [0] * (h + 1)
+    free_high = [0] * (h + 1)
+    valid = 0
     nodes = 0
 
-    def free_sums(labels) -> list[int]:
-        # sums[k] = the T values of the k smallest free labels of one block
-        sums = [0]
-        for lab in labels:
-            if not labelled[lab]:
-                sums.append(sums[-1] + T[lab])
-        return sums
-
     def place(a: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, valid
         if a > h:
             return True
-        cols, shift, lab = (range(1, d + 1), c, a + c) if a <= d else (range(d + 1, h + 1), -d, a - d)
-        labelled[lab] = True
-        low = free_sums(range(1, c + 1))
-        high = free_sums(range(c + 1, h + 1))
+        cols, shift, lab, low, high = rows[a]
         for b in cols:
             if row_of[b]:
                 continue
@@ -293,24 +329,31 @@ def _witness_exists(wt: tuple[int, ...], w: tuple[int, ...], c: int, limit: int)
                 )
             x = b + shift
             reads[a], row_of[b], label[x] = wt[b - 1], a, lab
-            # re-check every prefix holding an entry this choice determined
+            # re-check every prefix holding an entry this choice determined,
+            # from row lo on; rows 1..lo-1 count as they did before it, so
+            # their sums are kept wherever they are still valid
             lo = row_of[col_of[x]] or a
-            known = free_low = free_high = 0
-            for i in range(1, a + 1):
+            start = valid if valid < lo else lo - 1
+            k, fl, fh = known[start], free_low[start], free_high[start]
+            valid = lo - 1
+            for i in range(start + 1, a + 1):
                 y = reads[i]
                 if label[y]:
-                    known += T[label[y]]
+                    k += T[label[y]]
                 elif y <= c:
-                    free_low += 1
+                    fl += 1
                 else:
-                    free_high += 1
-                if i >= lo and (w_counts[i] - known - low[free_low] - high[free_high]) & guard != guard:
+                    fh += 1
+                known[i], free_low[i], free_high[i] = k, fl, fh
+                if i >= lo and (w_counts[i] - k - low[fl] - high[fh]) & guard != guard:
                     break
             else:
+                valid = a
                 if place(a + 1):
                     return True
+                if valid >= lo:  # undoing the choice changes rows lo..a again
+                    valid = lo - 1
             row_of[b], label[x] = 0, 0
-        labelled[lab] = False
         return False
 
     return place(1)

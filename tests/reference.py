@@ -432,11 +432,13 @@ def generic_specializations_by_transpositions(
     return tuple(sorted(found, key=lambda p: p.images))
 
 
-def witness_exists_sorted(wt: tuple[int, ...], w: tuple[int, ...], c: int) -> bool:
+def witness_exists_sorted(wt: tuple[int, ...], w: tuple[int, ...], c: int) -> tuple[bool, int]:
     """The witness search with the bound checked by sorting each prefix.
 
     Same search, bound and order of tries as ``weyl._witness_exists``, with
     no node budget; the library sums packed counts instead of sorting.
+    Returns whether a witness exists and the nodes visited (row choices
+    tried), the count the library holds against its budget.
     """
     # Depth-first search for u in W_J with v = u^{-1} wt theta(u) <= w, built
     # one row of v at a time.  Row a of v reads wt at column b = theta(u)(a);
@@ -458,6 +460,7 @@ def witness_exists_sorted(wt: tuple[int, ...], w: tuple[int, ...], c: int) -> bo
     labelled = [False] * (h + 1)  # labelled[l]: some x has label l
     row_of = [0] * (h + 1)  # row_of[b] = the row reading column b, 0 while unread
     reads = [0] * (h + 1)  # reads[a] = wt(b) for the column b that row a reads
+    nodes = 0
 
     def prefix_fits(i: int) -> bool:
         values = []
@@ -481,6 +484,7 @@ def witness_exists_sorted(wt: tuple[int, ...], w: tuple[int, ...], c: int) -> bo
         return all(values[r] <= bound[r] for r in range(i))
 
     def place(a: int) -> bool:
+        nonlocal nodes
         if a > h:
             return True
         cols, shift, lab = (range(1, d + 1), c, a + c) if a <= d else (range(d + 1, h + 1), -d, a - d)
@@ -488,6 +492,7 @@ def witness_exists_sorted(wt: tuple[int, ...], w: tuple[int, ...], c: int) -> bo
         for b in cols:
             if row_of[b]:
                 continue
+            nodes += 1
             x = b + shift
             reads[a], row_of[b], label[x] = wt[b - 1], a, lab
             # re-check every prefix holding an entry this choice determined
@@ -498,4 +503,5 @@ def witness_exists_sorted(wt: tuple[int, ...], w: tuple[int, ...], c: int) -> bo
         labelled[lab] = False
         return False
 
-    return place(1)
+    found = place(1)
+    return found, nodes

@@ -23,3 +23,10 @@ class TestBoundaryCensus:
         out, err = capsys.readouterr()
         assert out == ""
         assert "the search budget must be at least 1 node, got 0" in err
+
+    def test_budget_exceeded_exits_3(self, capsys):
+        main = script_main("boundary_census")
+        assert main(["--height", "5", "--oracle", "--budget", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert err.startswith("budget exceeded: the search visited more than 1 nodes for JWContext(h=")

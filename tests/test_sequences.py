@@ -235,14 +235,19 @@ class TestMinimalAbs:
         # Distinct coprime segments never share an expansion value, so the
         # tie is forced by giving every symbol the value 1/2: word 1 over the
         # denominator 2.  The patch replaces _segment_words, the cached
-        # function the merge keys are computed from, so no cached entry can
-        # stand in for it.
+        # function the merge keys are computed from; the memo of minimal_abs
+        # is emptied first, so no cached sequence can stand in for the patch,
+        # and again afterwards, so none built under the patch outlives it.
+        minimal_abs.cache_clear()
         monkeypatch.setattr(sequences, "_segment_words", lambda m, n: (2, (1,) * (m + n)))
-        tie = r"expansion tie 1/2 between distinct segments \(1, 2\) and \(1, 1\)"
-        with pytest.raises(InternalCheckError, match=tie):
-            minimal_abs(parse_polygon("1,2+1,1"))
-        # equal segments may share values: they are told apart by segment
-        assert len(minimal_abs(parse_polygon("1,1+1,1"))) == 4
+        try:
+            tie = r"expansion tie 1/2 between distinct segments \(1, 2\) and \(1, 1\)"
+            with pytest.raises(InternalCheckError, match=tie):
+                minimal_abs(parse_polygon("1,2+1,1"))
+            # equal segments may share values: they are told apart by segment
+            assert len(minimal_abs(parse_polygon("1,1+1,1"))) == 4
+        finally:
+            minimal_abs.cache_clear()
 
     def test_minimal_abs_is_admissible(self):
         for poly in enumerate_polygons(8):
@@ -285,6 +290,19 @@ class TestMinimalAbs:
                         assert S.position(Symbol(r, sr.m + 1, 0)) < S.position(
                             Symbol(q, sq.m + 1, 0)
                         )
+
+
+class TestMinimalAbsCache:
+    def test_repeat_call_returns_the_same_object(self):
+        first = minimal_abs(parse_polygon("2,5+3,2"))
+        assert minimal_abs(parse_polygon("2,5+3,2")) is first
+
+    def test_cached_equals_uncached_up_to_height_9(self):
+        for poly in enumerate_polygons(9):
+            assert minimal_abs(poly) == minimal_abs.__wrapped__(poly), str(poly)
+
+    def test_bound_is_the_module_constant(self):
+        assert minimal_abs.cache_info().maxsize == sequences.MINIMAL_ABS_CACHE_SIZE
 
 
 class TestCanonicalBinarySequence:

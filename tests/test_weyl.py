@@ -23,6 +23,7 @@ from stratabound.sequences import abs_from_binary_sequence, length, minimal_abs,
 from stratabound.weyl import (
     JWContext,
     Permutation,
+    _jw_by_length,
     binary_to_jw,
     bruhat_leq,
     coxeter_length,
@@ -141,6 +142,17 @@ class TestRepresentatives:
                         if img[a] > c >= img[b]
                     )
                     assert coxeter_length(w) == cross
+
+    def test_length_buckets_equal_coxeter_length_buckets(self):
+        # _jw_by_length buckets by the word's sequence length; it must equal
+        # bucketing by Coxeter length, each bucket in jw_elements order.
+        for h in range(1, 10):
+            for c in range(0, h + 1):
+                expected: dict[int, list[Permutation]] = {}
+                for w in jw_elements(JWContext(h=h, c=c)):
+                    expected.setdefault(coxeter_length(w), []).append(w)
+                got = _jw_by_length(h, c)
+                assert got == {length: tuple(ws) for length, ws in expected.items()}, (h, c)
 
     def test_word_mismatch_errors(self):
         ctx = JWContext(h=3, c=1)
@@ -267,8 +279,27 @@ class TestSpecializationOrder:
             w = binary_to_jw(to_binary_sequence(minimal_abs(poly)), ctx)
             for wp in jw_elements(ctx):
                 if coxeter_length(wp) == coxeter_length(w) - 1:
-                    expected = witness_exists_sorted(wp.images, w.images, ctx.c)
+                    expected, _ = witness_exists_sorted(wp.images, w.images, ctx.c)
                     assert specializes(wp, w, ctx) == expected, (str(poly), wp)
+
+    def test_budget_of_the_sorted_search_node_count_suffices_h8(self):
+        # The library visits exactly the reference search's nodes: on every
+        # candidate the oracle filter tests at h <= 8, a budget of that count
+        # finishes the search and one node less does not.
+        checked = 0
+        for poly in enumerate_polygons(8):
+            ctx = JWContext.for_polygon(poly)
+            w = binary_to_jw(to_binary_sequence(minimal_abs(poly)), ctx)
+            for wp in jw_elements(ctx):
+                if coxeter_length(wp) != coxeter_length(w) - 1:
+                    continue
+                expected, n = witness_exists_sorted(wp.images, w.images, ctx.c)
+                assert n >= 2, (str(poly), wp)
+                assert specializes(wp, w, ctx, budget=n) == expected, (str(poly), wp)
+                with pytest.raises(ContextTooLarge, match=f"more than {n - 1} nodes"):
+                    specializes(wp, w, ctx, budget=n - 1)
+                checked += 1
+        assert checked == 826
 
     def test_oracle_methods_agree(self):
         for h in range(2, 7):
