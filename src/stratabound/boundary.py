@@ -18,13 +18,20 @@ Three structural identities are verified against explicitly computed sets:
 * direct-sum:   B(xi) is the disjoint union over adjacent segment pairs i of
                 B((m_i,n_i)+(m_{i+1},n_{i+1})), embedded by direct-summing
                 each element with the minimal sequences of the remaining
-                segments (slot i holds the element's sequence).
+                segments (slot i holds the element's sequence).  The image
+                type is read off the integer merge keys of the summands'
+                expansion words (the other segments' words taken once per
+                pair), so no summand or image sequence is built.
 * curtailment:  for two segments with slope_1 >= slope_2 >= 1/2, dropping the
                 symbols {pi(t) : delta(t) = 1} identifies the minimal
                 sequence of xi^C inside that of xi, carries pairs and
                 verdicts across, and restriction gives a type bijection.
 * duality:      for two segments, i -> l - w(l - i) with l = h + 1 maps
-                B(xi) onto B(xi^D).
+                B(xi) onto B(xi^D); on types that map reverses the word and
+                flips every bit.
+
+``boundary_set`` and the curtailment check read each trace's type through
+``ModificationTrace.result_type``, without building the result sequence.
 """
 
 from __future__ import annotations
@@ -32,18 +39,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import PreconditionViolated, VerificationFailure
+from .errors import DimensionMismatch, PreconditionViolated, VerificationFailure
 from .modification import GENERIC, SmallModPair, eligible_pairs, full_modification
 from .newton import NewtonPolygon, curtail, dual, polygon_to_json
 from .sequences import (
     ABS,
-    abs_from_binary_sequence,
-    direct_sum,
+    _expansion_words,
+    _segment_words,
+    canonical_arrows,
+    direct_sum_type,
     minimal_abs,
-    minimal_abs_segment,
     to_binary_sequence,
 )
-from .weyl import JWContext, Permutation, binary_to_jw, generic_specializations_oracle, jw_to_binary
+from .weyl import JWContext, binary_to_jw, generic_specializations_oracle, jw_to_binary
 
 COMBINATORIAL = "Combinatorial"
 WEYL_ORACLE = "WeylOracle"
@@ -105,7 +113,7 @@ def boundary_set(polygon: NewtonPolygon) -> BoundarySet:
     for pair in eligible_pairs(S, adjacent_only=True):
         trace = full_modification(S, pair)
         if trace.verdict == GENERIC:
-            collected.setdefault(to_binary_sequence(trace.result), []).append(pair)
+            collected.setdefault(trace.result_type, []).append(pair)
     elements = tuple(
         BoundaryElement(t, tuple(collected[t])) for t in sorted(collected)
     )
@@ -170,6 +178,7 @@ def verify_direct_sum(polygon: NewtonPolygon) -> Report:
     segs = polygon.segments
     whole = boundary_set(polygon)
     whole_types = whole.types()
+    parts = [_segment_part(s) for s in segs]
     lhs = []
     bijection = []
     images: dict[tuple[int, ...], str] = {}
@@ -178,18 +187,12 @@ def verify_direct_sum(polygon: NewtonPolygon) -> Report:
         part = NewtonPolygon((segs[i - 1], segs[i]))
         part_set = boundary_set(part)
         lhs.append(f"i={i} {part}: {sorted(_fmt(t) for t in part_set.types())}")
+        before, after = parts[: i - 1], parts[i + 1 :]
         for element in part_set.elements:
             tag = f"i={i}:{_fmt(element.type)}"
-            summands = [
-                minimal_abs_segment(s.m, s.n, segment=k)
-                for k, s in enumerate(segs[: i - 1], start=1)
-            ]
-            summands.append(abs_from_binary_sequence(element.type))
-            summands.extend(
-                minimal_abs_segment(s.m, s.n, segment=k)
-                for k, s in enumerate(segs[i + 1 :], start=i + 2)
-            )
-            image = to_binary_sequence(direct_sum(*summands))
+            word = element.type
+            summands = before + [(word, _expansion_words(word, canonical_arrows(word)))] + after
+            image = direct_sum_type([labels for labels, _ in summands], [words for _, words in summands])
             bijection.append((tag, _fmt(image)))
             if image in images and witness is None:
                 witness = {"check": "injective", "image": _fmt(image), "sources": [images[image], tag]}
@@ -208,6 +211,12 @@ def verify_direct_sum(polygon: NewtonPolygon) -> Report:
         status="ok" if witness is None else "fail",
         witness=witness,
     )
+
+
+def _segment_part(seg) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """Labels and expansion words of the minimal sequence of one segment."""
+    den, words = _segment_words(seg.m, seg.n)
+    return (1,) * seg.m + (0,) * seg.n, [(word, den) for word in words]
 
 
 def _curtail_removed(S: ABS) -> frozenset:
@@ -271,9 +280,9 @@ def verify_curtailment(polygon: NewtonPolygon) -> Report:
                 break
             if trace_S.verdict != GENERIC:
                 continue
-            t_full = to_binary_sequence(trace_S.result)
+            t_full = trace_S.result_type
             t_restricted = tuple(t.label for t in trace_S.result.order if t not in removed)
-            t_curtailed = to_binary_sequence(trace_R.result)
+            t_curtailed = trace_R.result_type
             if t_restricted != t_curtailed:
                 witness = {
                     "check": "restriction_matches",
@@ -318,13 +327,13 @@ def duality_map_type(bits: tuple[int, ...], c: int) -> tuple[int, ...]:
     """Type of the dual: conjugate the representative by i -> l - i, l = h + 1.
 
     Concretely w*(i) = l - w(l - i); on types this reverses the word and
-    flips every bit.
+    flips every bit, and that is how it is computed.  ``c`` is the word's
+    codimension, its number of ones; any other value raises
+    ``DimensionMismatch``.
     """
-    h = len(bits)
-    w = binary_to_jw(bits, JWContext(h=h, c=c))
-    l = h + 1
-    w_star = Permutation(tuple(l - w(l - i) for i in range(1, h + 1)))
-    return jw_to_binary(w_star, JWContext(h=h, c=h - c))
+    if bits.count(1) != c:
+        raise DimensionMismatch(f"word has {bits.count(1)} ones, context wants {c}")
+    return tuple([1 - b for b in reversed(bits)])
 
 
 def verify_duality(polygon: NewtonPolygon) -> Report:

@@ -14,15 +14,18 @@ empties; the final sequence is the full modification.  Its verdict is Generic
 when the length drops by exactly one.
 
 Both phases run one loop on integers.  A symbol's id is its 0-based
-position in the small modification's order, so ``small.arrows`` is the id
-table of pi (shifted by one), and the phase state is an order of ids plus the
-inverse array of positions, which a move updates only over the range it
-shifted.  The id tables of pi, labels and segments are built once per small
-modification by the A-phase and carried on the partial trace to the B-phase.
-Each stage keeps ids only: its order as an id tuple, its marker as
-an id and its members as an id tuple.  The marker and member ``Symbol``s are
-looked up in ``small.order`` when read, and the stage's ``sequence``
-(``small.arrows`` carried to that order) is built when first read.
+position in the small modification's order.  ``construction_a`` reads the
+id tables of pi, labels and segments straight off the source sequence with
+the two swapped positions exchanged, so no small-modification sequence is
+built, and the B-phase reuses them.  The phase state is an order of ids plus
+the inverse array of positions, which a move updates only over the range it
+shifted, and each stage is recorded as a plain ``(kind, index, order,
+marker, members)`` tuple of ids.  ``ModificationTrace.result_type`` reads
+the labels of the final order, which is all ``boundary_set`` needs; the
+small modification (``trace.small``), the ``Stage`` objects
+(``trace.stages``) and the result sequence (``trace.result``) are built
+only when a caller reads them, and a stage's marker, members and sequence
+only when those are read.
 
 The never-empties verdict relies on the iteration being a deterministic map
 on (current order, stage index mod marker-orbit-length): once that key
@@ -113,32 +116,63 @@ class Stage:
     @property
     def sequence(self) -> ABS:
         if self._sequence is None:
-            small = self.small
+            arrows = self.small.arrows
             where = [0] * len(self.order)  # where[t] = 1-based position of id t in this order
             for z, t in enumerate(self.order, start=1):
                 where[t] = z
-            self._sequence = ABS.from_arrows(
-                [small.order[t] for t in self.order], [where[small.arrows[t] - 1] for t in self.order]
-            )
+            self._sequence = ABS._reordered(self.small.order, self.order, [where[arrows[t] - 1] for t in self.order])
         return self._sequence
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ModificationTrace:
+    """One pair's cascade, kept as ids; objects are built when first read.
+
+    ``a``, ``b`` and ``verdict`` are plain values, and ``result_type`` reads
+    the labels of the final id order.  ``small`` (the small modification),
+    ``stages`` (``Stage`` objects) and ``result`` (the last stage's
+    sequence once the B-phase emptied) are built on first read.  Traces
+    compare and hash by value.
+    """
+
     source: ABS
     pair: SmallModPair
-    small: ABS
-    stages: tuple[Stage, ...]
+    swap: tuple[int, int]  # 0-based positions of the 0-symbol and the 1-symbol in source
+    # pi, labels and segments of the small modification by id; follow from source and swap
+    ids: tuple[list[int], list[int], list[int]] = field(compare=False, repr=False)
+    id_stages: tuple[tuple, ...]  # one (kind, index, order, marker, members) tuple per stage
     a: int | None
     b: int | None
     verdict: str | None
-    # pi, labels and segments of ``small`` by symbol id, shared by both phases
-    ids: tuple[list[int], list[int], list[int]] | None = field(default=None, compare=False, repr=False)
+    _small: ABS | None = field(default=None, init=False, compare=False, repr=False)
+    _stages: tuple[Stage, ...] | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def small(self) -> ABS:
+        """The small modification of ``source`` by ``pair``: the cascade's stage 0."""
+        if self._small is None:
+            self._small = small_modification(self.source, self.pair)
+        return self._small
+
+    @property
+    def stages(self) -> tuple[Stage, ...]:
+        if self._stages is None:
+            small = self.small
+            self._stages = tuple([Stage(*stage, small) for stage in self.id_stages])
+        return self._stages
 
     @property
     def result(self) -> ABS | None:
         """The full modification: the last stage's sequence once the B-phase emptied."""
         return self.stages[-1].sequence if self.b is not None else None
+
+    @property
+    def result_type(self) -> tuple[int, ...] | None:
+        """The type of ``result`` (its labels along the order), read off the ids."""
+        if self.b is None:
+            return None
+        label = self.ids[1]
+        return tuple([label[t] for t in self.id_stages[-1][2]])
 
     def a_stages(self) -> tuple[Stage, ...]:
         return tuple(s for s in self.stages if s.kind == "A")
@@ -153,6 +187,15 @@ class ModificationTrace:
         return {s.index: frozenset(s.members) for s in self.stages if s.kind == "B"}
 
 
+def _swap_positions(S: ABS, pair: SmallModPair) -> tuple[int, int]:
+    """0-based positions of the pair's 0-symbol and 1-symbol in S, the first before the second."""
+    i = S.position(pair.zero) - 1
+    j = S.position(pair.one) - 1
+    if i >= j:
+        raise InvalidPair(f"pair {pair} needs the 0-symbol strictly before the 1-symbol")
+    return i, j
+
+
 def small_modification(S: ABS, pair: SmallModPair) -> ABS:
     """Swap the pair in the order and exchange the two symbols' pi-images.
 
@@ -160,14 +203,11 @@ def small_modification(S: ABS, pair: SmallModPair) -> ABS:
     symbols.  Because the swapped symbols sit at positions i and j, that is
     entries i and j of both the order and the arrows trading places.
     """
-    i = S.position(pair.zero) - 1
-    j = S.position(pair.one) - 1
-    if i >= j:
-        raise InvalidPair(f"pair {pair} needs the 0-symbol strictly before the 1-symbol")
-    order, arrows = list(S.order), list(S.arrows)
-    order[i], order[j] = order[j], order[i]
+    i, j = _swap_positions(S, pair)
+    ids, arrows = list(range(len(S))), list(S.arrows)
+    ids[i], ids[j] = j, i
     arrows[i], arrows[j] = arrows[j], arrows[i]
-    return ABS.from_arrows(order, arrows)
+    return ABS._reordered(S.order, ids, arrows)
 
 
 def _move(order: list[int], pos: list[int], sym: int, target: int, after: bool) -> None:
@@ -186,25 +226,22 @@ def _move(order: list[int], pos: list[int], sym: int, target: int, after: bool) 
         pos[order[z]] = z
 
 
-def _id_tables(small: ABS) -> tuple[list[int], list[int], list[int]]:
-    """pi, the labels and the segments of ``small``, indexed by symbol id."""
-    return [z - 1 for z in small.arrows], [t.label for t in small.order], [t.segment for t in small.order]
-
-
 def _phase(
-    kind: str, small: ABS, ids: tuple[list[int], list[int], list[int]], pair: SmallModPair, start: tuple[int, ...]
-) -> tuple[list[Stage], bool]:
-    """Run the A- or B-phase of ``small`` from the id order ``start``.
+    kind: str, ids: tuple[list[int], list[int], list[int]], first: int, exclude: int | None, start: tuple[int, ...]
+) -> tuple[list[tuple], bool]:
+    """Run the A- or B-phase from the id order ``start``; ``first`` is the swapped symbol's id.
 
-    ``ids`` are the id tables of ``small`` (``_id_tables``).  Returns the
-    phase's stages (stage n holds the order after the n-th move, the marker
-    and the n-th set) and whether its (order, n mod p) key repeated with a
-    non-empty set, i.e. the phase never empties.
+    ``ids`` are the pi, label and segment tables of the small modification.
+    The A-phase drops members of segment ``exclude`` from every set after
+    A_0.  Returns the phase's stages as ``(kind, n, order, marker, members)``
+    tuples (stage n holds the order after the n-th move, the marker and the
+    n-th set) and whether its (order, n mod p) key repeated with a non-empty
+    set, i.e. the phase never empties.
     """
     pi, label, segment = ids
     a_phase = kind == "A"
-    orbit = [small.position(pair.zero if a_phase else pair.one) - 1]
-    while pi[orbit[-1]] != orbit[0]:
+    orbit = [first]
+    while pi[orbit[-1]] != first:
         orbit.append(pi[orbit[-1]])
     p = len(orbit)
     order = list(start)
@@ -216,7 +253,7 @@ def _phase(
     stages = []
     seen = set()
     n = 0
-    exclude = None  # A_0 takes no segment exclusion, later A-sets drop segment q
+    skip = None  # A_0 takes no segment exclusion
     while True:
         marker = orbit[n % p]
         lab = label[marker]
@@ -224,13 +261,13 @@ def _phase(
         if a_phase:
             members = [
                 t for t in order[: pos[marker]]
-                if label[t] == lab and pos[pi[t]] > bound and segment[t] != exclude
+                if label[t] == lab and pos[pi[t]] > bound and segment[t] != skip
             ]
-            exclude = pair.one.segment
+            skip = exclude
         else:
             members = [t for t in order[pos[marker] + 1 :] if label[t] == lab and pos[pi[t]] < bound]
         key = tuple(order)
-        stages.append(Stage(kind, n, key, marker, tuple(members), small))
+        stages.append((kind, n, key, marker, tuple(members)))
         if not members:
             return stages, False
         state = (key, n % p)
@@ -243,24 +280,34 @@ def _phase(
         _move(order, pos, orbit[n % p], pi[members[-1] if a_phase else members[0]], after=a_phase)
 
 
-def construction_a(S0: ABS, pair: SmallModPair, source: ABS | None = None) -> ModificationTrace:
-    """Run the A-phase; returns a partial trace (b and result still unset).
+def construction_a(source: ABS, pair: SmallModPair) -> ModificationTrace:
+    """Run the A-phase on the small modification of ``source`` by ``pair``.
 
-    Records one stage per materialized sequence: stage n holds S^(n), the
-    marker alpha_n, and A_n computed in S^(n).  Ends with a = first empty
-    index, or verdict NonGenericANeverEmpty when the iteration state repeats.
+    Returns a partial trace (b and the result still unset).  The id tables
+    come from ``source`` with the two swapped positions exchanged; no
+    sequence is built.  Records one stage per materialized sequence: stage n
+    holds S^(n), the marker alpha_n, and A_n computed in S^(n).  Ends with
+    a = first empty index, or verdict NonGenericANeverEmpty when the
+    iteration state repeats.
     """
-    ids = _id_tables(S0)
-    stages, never_empty = _phase("A", S0, ids, pair, tuple(range(len(S0))))
+    i, j = _swap_positions(source, pair)
+    pi = [z - 1 for z in source.arrows]
+    label = [t.label for t in source.order]
+    segment = [t.segment for t in source.order]
+    for table in (pi, label, segment):
+        table[i], table[j] = table[j], table[i]
+    ids = (pi, label, segment)
+    # the 0-symbol now sits at position j, so its id is j
+    stages, never_empty = _phase("A", ids, j, pair.one.segment, tuple(range(len(pi))))
     return ModificationTrace(
-        source=source if source is not None else S0,
-        pair=pair,
-        small=S0,
-        stages=tuple(stages),
-        a=None if never_empty else stages[-1].index,
-        b=None,
-        verdict=NONGENERIC_A_NEVER_EMPTY if never_empty else None,
-        ids=ids,
+        source,
+        pair,
+        (i, j),
+        ids,
+        tuple(stages),
+        None if never_empty else stages[-1][1],
+        None,
+        NONGENERIC_A_NEVER_EMPTY if never_empty else None,
     )
 
 
@@ -270,21 +317,21 @@ def construction_b(trace: ModificationTrace) -> ModificationTrace:
         raise PreconditionViolated("B-phase needs a completed A-phase (a recorded)")
     if trace.b is not None or trace.verdict is not None:
         raise PreconditionViolated("trace already completed")
-    ids = trace.ids if trace.ids is not None else _id_tables(trace.small)
-    stages, never_empty = _phase("B", trace.small, ids, trace.pair, trace.stages[-1].order)
+    ids = trace.ids
+    # the 1-symbol now sits where the 0-symbol was
+    stages, never_empty = _phase("B", ids, trace.swap[0], None, trace.id_stages[-1][2])
     b = None
     if never_empty:
         verdict = NONGENERIC_B_NEVER_EMPTY
     else:
-        b = stages[-1].index
+        b = stages[-1][1]
         before = length(trace.source)
-        after = word_length(trace.small.order[t].label for t in stages[-1].order)
+        label = ids[1]
+        after = word_length([label[t] for t in stages[-1][2]])
         if before - after < 1:
             raise InternalCheckError(f"full modification raised the length ({before} -> {after})")
         verdict = GENERIC if before - after == 1 else NONGENERIC_LENGTH_DROP
-    return ModificationTrace(
-        trace.source, trace.pair, trace.small, trace.stages + tuple(stages), trace.a, b, verdict, ids
-    )
+    return ModificationTrace(trace.source, trace.pair, trace.swap, ids, trace.id_stages + tuple(stages), trace.a, b, verdict)
 
 
 def full_modification(S: ABS, pair: SmallModPair) -> ModificationTrace:
@@ -294,11 +341,10 @@ def full_modification(S: ABS, pair: SmallModPair) -> ModificationTrace:
     >>> from .sequences import minimal_abs
     >>> S = minimal_abs(parse_polygon("2,7+3,5"))
     >>> trace = full_modification(S, parse_pair("0:1:4,1:2:2"))
-    >>> trace.a, trace.b, trace.verdict
-    (1, 2, 'Generic')
+    >>> trace.a, trace.b, trace.verdict, trace.result_type
+    (1, 2, 'Generic', (1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0))
     """
-    small = small_modification(S, pair)
-    partial = construction_a(small, pair, source=S)
+    partial = construction_a(S, pair)
     if partial.verdict is not None:
         return partial
     return construction_b(partial)

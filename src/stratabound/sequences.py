@@ -14,12 +14,14 @@ pi-orbit consecutive words are rotations of each other, so one walk per orbit
 yields every value.  The minimal sequence of a polygon merges its segments by
 these values; the values of a segment (m, n) depend on (m, n) alone (pi^{-1}
 shifts positions by m) and are computed once per process, as integer words
-over the denominator 2^(m+n) - 1.  This merge and ``direct_sum`` compare the
-same exact integer keys: the first K bits of each value's expansion, K the
-sum of the distinct expansion periods (the segment heights, or the summands'
-orbit lengths), so no ``Fraction`` is built or compared.  ``minimal_abs`` is
-memoized per polygon, bounded at ``MINIMAL_ABS_CACHE_SIZE`` (64) polygons,
-so the oracle reads the sequence the combinatorial side just built.
+over the denominator 2^(m+n) - 1.  This merge, ``direct_sum`` and
+``direct_sum_type`` compare the same exact integer keys: the first K bits of
+each value's expansion, K the sum of the distinct expansion periods (the
+segment heights, or the summands' orbit lengths), so no ``Fraction`` is
+built or compared; ``direct_sum_type`` reads only the merged labels and
+builds no sequence.  ``minimal_abs`` is memoized per polygon, bounded at
+``MINIMAL_ABS_CACHE_SIZE`` (64) polygons, so the oracle reads the sequence
+the combinatorial side just built.
 
 >>> S = minimal_abs_segment(1, 2)
 >>> [t.token for t in S.order]
@@ -87,6 +89,10 @@ class ABS:
     ``arrows[z - 1]`` is the 1-based position of pi(t) for the symbol t at
     position z, the form ``abs_to_json`` writes.  ``ABS(order, pi)`` takes pi
     as a symbol mapping; ``ABS.from_arrows`` takes the positions directly.
+    Both reject a repeated symbol.  The symbol-to-position dict behind
+    ``position`` and ``in`` is built on the first such lookup (or kept from
+    the repeated-symbol check), so a reordering that is never searched never
+    builds one.
     """
 
     __slots__ = ("order", "arrows", "_pos", "_hash", "_length")
@@ -94,26 +100,39 @@ class ABS:
     def __init__(self, order, pi):
         order = tuple(order)
         pi = dict(pi)
-        pos = {t: z for z, t in enumerate(order, start=1)}
+        pos = _checked_positions(order)
         if pi.keys() != pos.keys():
             raise ValueError("pi must be a bijection on exactly the ordered symbols")
-        self._init(order, tuple(pos.get(pi[t], 0) for t in order))
+        self._init(order, tuple(pos.get(pi[t], 0) for t in order), pos)
 
     @classmethod
     def from_arrows(cls, order, arrows) -> "ABS":
         """The sequence whose symbol at position z points at position arrows[z - 1]."""
+        order = tuple(order)
         S = cls.__new__(cls)
-        S._init(tuple(order), tuple(arrows))
+        S._init(order, tuple(arrows), _checked_positions(order))
         return S
 
-    def _init(self, order, arrows):
-        self._pos = {t: z for z, t in enumerate(order, start=1)}
-        if len(self._pos) != len(order):
-            raise ValueError("order contains repeated symbols")
+    @classmethod
+    def _reordered(cls, symbols, ids, arrows) -> "ABS":
+        """The symbols ``symbols[t]`` for t in ``ids``, pointing at ``arrows``.
+
+        ``symbols`` is the order of an existing sequence, so it holds no
+        repeat; ``ids`` is checked to permute its positions 0..n-1, which
+        keeps the new order repeat-free without a symbol lookup.
+        """
+        if sorted(ids) != list(range(len(symbols))):
+            raise ValueError(f"ids must permute the positions 0..{len(symbols) - 1}")
+        S = cls.__new__(cls)
+        S._init(tuple([symbols[t] for t in ids]), tuple(arrows), None)
+        return S
+
+    def _init(self, order, arrows, pos):
         if sorted(arrows) != list(range(1, len(order) + 1)):
             raise ValueError(f"arrows must permute the positions 1..{len(order)}")
         self.order = order
         self.arrows = arrows
+        self._pos = pos
         self._hash = None
         self._length = None
 
@@ -121,7 +140,12 @@ class ABS:
         return len(self.order)
 
     def __contains__(self, t):
-        return t in self._pos
+        return t in self._positions()
+
+    def _positions(self) -> dict:
+        if self._pos is None:
+            self._pos = {t: z for z, t in enumerate(self.order, start=1)}
+        return self._pos
 
     def __eq__(self, other):
         return isinstance(other, ABS) and self.order == other.order and self.arrows == other.arrows
@@ -137,7 +161,7 @@ class ABS:
     def position(self, t: Symbol) -> int:
         """1-based position of t in the current order."""
         try:
-            return self._pos[t]
+            return self._positions()[t]
         except KeyError:
             raise SymbolNotInSequence(f"{t!r} is not in this sequence") from None
 
@@ -156,6 +180,14 @@ class ABS:
     def arrow_images(self) -> tuple[int, ...]:
         """pi as a permutation of positions: entry z is the position of pi(symbol at z)."""
         return self.arrows
+
+
+def _checked_positions(order: tuple) -> dict:
+    """Symbol -> 1-based position; raises on a repeated symbol."""
+    pos = {t: z for z, t in enumerate(order, start=1)}
+    if len(pos) != len(order):
+        raise ValueError("order contains repeated symbols")
+    return pos
 
 
 def minimal_abs_segment(m: int, n: int, segment: int = 1) -> ABS:
@@ -229,20 +261,37 @@ def direct_sum(*summands: ABS) -> ABS:
     ['1^1_1', '1^2_1', '0^1_2', '0^2_2']
     """
     return _merge(
-        [(S.order, S.arrows) for S in summands], _expansion_keys([_expansion_words(S) for S in summands])
+        [(S.order, S.arrows) for S in summands],
+        _expansion_keys([_expansion_words([t.label for t in S.order], S.arrows) for S in summands]),
     )
 
 
-def _expansion_words(S: ABS) -> list[tuple[int, int]]:
+def direct_sum_type(labels, words) -> tuple[int, ...]:
+    """The type of a direct sum, from each summand's labels and ``_expansion_words``.
+
+    The same merge as ``direct_sum`` on the same integer keys, but only the
+    labels are read along the merged order: no sequence is built.
+
+    >>> S = minimal_abs_segment(1, 1)
+    >>> direct_sum_type([(1, 0), (1, 0)], [_expansion_words((1, 0), S.arrows)] * 2)
+    (1, 1, 0, 0)
+    """
+    return tuple([labels[k][idx] for k, idx in _merge_order(_expansion_keys(words))])
+
+
+def _expansion_words(labels, arrows) -> list[tuple[int, int]]:
     """``(w, 2^p - 1)`` for the symbol at each position: its value w / (2^p - 1), p its orbit length.
 
-    One walk along the inverse arrows per orbit, then one shift per symbol.
+    ``labels`` and ``arrows`` describe one sequence (``[t.label for t in
+    S.order]`` and ``S.arrows``).  One walk along the inverse arrows per
+    orbit, then one shift per symbol.
     """
-    inverse = [0] * len(S)
-    for z, image in enumerate(S.arrows):
+    n = len(arrows)
+    inverse = [0] * n
+    for z, image in enumerate(arrows):
         inverse[image - 1] = z
-    words: list[tuple[int, int] | None] = [None] * len(S)
-    for start in range(len(S)):
+    words: list[tuple[int, int] | None] = [None] * n
+    for start in range(n):
         if words[start] is not None:
             continue
         orbit = [start]
@@ -251,7 +300,7 @@ def _expansion_words(S: ABS) -> list[tuple[int, int]]:
             orbit.append(z)
             z = inverse[z]
         den = (1 << len(orbit)) - 1
-        for z, word in zip(orbit, _cycle_words([S.order[z].label for z in orbit])):
+        for z, word in zip(orbit, _cycle_words([labels[z] for z in orbit])):
             words[z] = (word, den)
     return words
 
@@ -289,17 +338,23 @@ def _segment_words(m: int, n: int) -> tuple[int, tuple[int, ...]]:
     return (1 << h) - 1, tuple(words)
 
 
+def _merge_order(values) -> list[tuple[int, int]]:
+    # (summand k, index idx) at each merged position: values[k][idx] is the
+    # merge key of summand k's symbol idx, and ties break by (k, idx).
+    return [(k, idx) for _, k, idx in sorted((v, k, idx) for k, vs in enumerate(values) for idx, v in enumerate(vs))]
+
+
 def _merge(parts, values) -> ABS:
-    # parts[k] is the (order, arrows) of summand k and values[k][idx] the
-    # merge key of its symbol idx; a symbol shared by two summands shows up as
-    # a repeat in the merged order.
-    keyed = sorted((v, k, idx) for k, vs in enumerate(values) for idx, v in enumerate(vs))
+    # parts[k] is the (order, arrows) of summand k and values[k] its merge
+    # keys; a symbol shared by two summands shows up as a repeat in the
+    # merged order.
+    merged = _merge_order(values)
     where = [[0] * len(vs) for vs in values]
-    for z, (_, k, idx) in enumerate(keyed, start=1):
+    for z, (k, idx) in enumerate(merged, start=1):
         where[k][idx] = z
     return ABS.from_arrows(
-        [parts[k][0][idx] for _, k, idx in keyed],
-        [where[k][parts[k][1][idx] - 1] for _, k, idx in keyed],
+        [parts[k][0][idx] for k, idx in merged],
+        [where[k][parts[k][1][idx] - 1] for k, idx in merged],
     )
 
 
@@ -395,13 +450,21 @@ def abs_from_binary_sequence(nu) -> ABS:
     nu = tuple(int(b) for b in nu)
     if any(b not in (0, 1) for b in nu) or not nu:
         raise ValueError(f"need a non-empty 0/1 word, got {nu}")
-    d = nu.count(0)
-    seen = [0, d]  # arrows so far into the zero block and into the one block
+    return ABS.from_arrows([Symbol(0, i, b) for i, b in enumerate(nu, start=1)], canonical_arrows(nu))
+
+
+def canonical_arrows(nu) -> list[int]:
+    """The arrows of ``abs_from_binary_sequence(nu)`` for a 0/1 word nu, without building it.
+
+    >>> canonical_arrows((1, 1, 0))
+    [2, 3, 1]
+    """
+    seen = [0, nu.count(0)]  # arrows so far into the zero block and into the one block
     arrows = []
     for b in nu:
         seen[b] += 1
         arrows.append(seen[b])
-    return ABS.from_arrows([Symbol(0, i, b) for i, b in enumerate(nu, start=1)], arrows)
+    return arrows
 
 
 def is_admissible(S: ABS) -> bool:

@@ -161,6 +161,11 @@ def binary_to_jw(nu, ctx: JWContext) -> Permutation:
         raise DimensionMismatch(f"need a 0/1 word of length {ctx.h}, got {nu}")
     if nu.count(0) != ctx.d:
         raise DimensionMismatch(f"word has {nu.count(0)} zeros, context wants {ctx.d}")
+    return Permutation(_jw_images(nu, ctx.c))
+
+
+def _jw_images(nu, c: int) -> tuple[int, ...]:
+    # the images of binary_to_jw for a checked word with c ones
     images = []
     ones = 0
     zeros = 0
@@ -170,8 +175,8 @@ def binary_to_jw(nu, ctx: JWContext) -> Permutation:
             images.append(ones)
         else:
             zeros += 1
-            images.append(ctx.c + zeros)
-    return Permutation(tuple(images))
+            images.append(c + zeros)
+    return tuple(images)
 
 
 def jw_to_binary(w: Permutation, ctx: JWContext) -> tuple[int, ...]:
@@ -195,13 +200,14 @@ def is_jw(w: Permutation, ctx: JWContext) -> bool:
 
 @lru_cache(maxsize=None)
 def _jw_elements(h: int, c: int) -> tuple[Permutation, ...]:
-    d = h - c
+    # One context checks (h, c); each word below has c ones by construction.
+    d = JWContext(h, c).d
     out = []
     for zero_positions in itertools.combinations(range(h), d):
         nu = [1] * h
         for z in zero_positions:
             nu[z] = 0
-        out.append(binary_to_jw(nu, JWContext(h, c)))
+        out.append(Permutation(_jw_images(nu, c)))
     out.sort(key=lambda w: w.images)
     return tuple(out)
 

@@ -31,6 +31,9 @@
   threshold counts instead; tests require the same answer.
 * Bruhat order by walking cover relations down from w, against the
   library's dominance criterion.
+* The duality map on types by permutation conjugation: the word's
+  representative w is conjugated by i -> l - i (l = h + 1) and read back as
+  a word of the dual context.  The library reverses and flips the word.
 * The generic specializations of w built from transpositions: every
   u (w s) theta(u^{-1}) with s a length-lowering transposition and u in W_J,
   kept if it is a representative one length below w.  The library filters
@@ -65,8 +68,10 @@ from stratabound.weyl import (
     JWContext,
     Permutation,
     _dominance_leq,
+    binary_to_jw,
     coxeter_length,
     is_jw,
+    jw_to_binary,
     resolve_budget,
     theta,
 )
@@ -325,6 +330,20 @@ def expansion_sorted_length_bound(S: ABS) -> int:
     """
     ordered = sorted(S.order, key=lambda t: (binary_expansion(S, t).value, t.label))
     return word_length(t.label for t in ordered)
+
+
+def duality_map_by_conjugation(bits: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """Type of the dual through the representatives: w*(i) = l - w(l - i), l = h + 1.
+
+    ``binary_to_jw`` in the context (h, c), the conjugation, then
+    ``jw_to_binary`` in the dual context (h, h - c), which also checks that
+    w* is a minimal representative there.
+    """
+    h = len(bits)
+    w = binary_to_jw(bits, JWContext(h=h, c=c))
+    l = h + 1
+    w_star = Permutation(tuple(l - w(l - i) for i in range(1, h + 1)))
+    return jw_to_binary(w_star, JWContext(h=h, c=h - c))
 
 
 @lru_cache(maxsize=None)

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
+
 import pytest
 
 import golden
+from reference import duality_map_by_conjugation
 from stratabound.boundary import (
     BOUNDARY_CACHE_SIZE,
     Report,
@@ -15,7 +20,7 @@ from stratabound.boundary import (
     verify_direct_sum,
     verify_duality,
 )
-from stratabound.errors import PreconditionViolated, VerificationFailure
+from stratabound.errors import DimensionMismatch, PreconditionViolated, VerificationFailure
 from stratabound.modification import parse_pair
 from stratabound.newton import NewtonPolygon, Segment, dual, enumerate_polygons, parse_polygon
 from stratabound.sequences import abs_from_binary_sequence, length, minimal_abs
@@ -147,19 +152,57 @@ class TestDuality:
             assert report.ok, (str(poly), report.witness)
 
     def test_map_is_reverse_and_flip(self):
-        import itertools
-
         for h in range(1, 9):
             for bits in itertools.product((0, 1), repeat=h):
                 c = bits.count(1)
-                assert duality_map_type(bits, c) == tuple(1 - b for b in reversed(bits))
+                flipped = tuple(1 - b for b in reversed(bits))
+                assert duality_map_by_conjugation(bits, c) == flipped
+                assert duality_map_type(bits, c) == flipped
+
+    def test_map_equals_conjugation_up_to_height_12(self):
+        words = 0
+        for h in range(1, 13):
+            for bits in itertools.product((0, 1), repeat=h):
+                c = bits.count(1)
+                assert duality_map_type(bits, c) == duality_map_by_conjugation(bits, c), bits
+                words += 1
+        assert words == 2**13 - 2
+
+    def test_map_checks_the_codimension(self):
+        with pytest.raises(DimensionMismatch):
+            duality_map_type((1, 0, 0), 2)
 
     def test_wrong_segment_count_rejected(self):
         with pytest.raises(PreconditionViolated):
             verify_duality(parse_polygon("1,2"))
 
 
+# SHA-256 of every report scripts/verify_suite.py produces at its default
+# heights (direct-sum h <= 10, curtailment and duality h <= 12), in the
+# script's order, each as sorted-key JSON plus a newline.
+VERIFY_SUITE_REPORTS = 653
+VERIFY_SUITE_DIGEST = "06d80976e07ab3b7af474103321264fd93f883890d1b080dbde5ef31ffd4d386"
+
+
 class TestReport:
+    def test_verify_suite_reports_are_pinned(self):
+        digest = hashlib.sha256()
+        reports = 0
+
+        def feed(report):
+            nonlocal reports
+            reports += 1
+            digest.update(json.dumps(report.to_json(), sort_keys=True).encode() + b"\n")
+
+        for poly in enumerate_polygons(10):
+            if poly.z in (2, 3):
+                feed(verify_direct_sum(poly))
+        for poly in two_segment_polygons(12):
+            if 2 * poly.segments[1].n >= poly.segments[1].height:
+                feed(verify_curtailment(poly))
+            feed(verify_duality(poly))
+        assert (reports, digest.hexdigest()) == (VERIFY_SUITE_REPORTS, VERIFY_SUITE_DIGEST)
+
     def test_json_schema(self):
         payload = verify_duality(parse_polygon("2,5+3,2")).to_json()
         assert set(payload) == {

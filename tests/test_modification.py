@@ -10,6 +10,7 @@ import pytest
 
 import golden
 import reference
+from stratabound import boundary
 from reference import a_members_from_previous, b_members_from_previous, expansion_sorted_length_bound
 from stratabound.errors import ContextTooLarge, InternalCheckError, InvalidPair, PreconditionViolated
 from stratabound.modification import (
@@ -158,8 +159,7 @@ class TestPhases:
     def test_b_phase_requires_completed_a(self):
         S = minimal_abs(parse_polygon("2,5+3,2"))
         pair = parse_pair("0:1:4,1:2:2")
-        small = small_modification(S, pair)
-        partial = construction_a(small, pair, source=S)
+        partial = construction_a(S, pair)
         done = construction_b(partial)
         with pytest.raises(PreconditionViolated):
             construction_b(done)
@@ -180,7 +180,9 @@ class TestPhases:
         S = minimal_abs(parse_polygon("2,7+3,5"))
         pair = parse_pair("0:1:4,1:2:2")
         via_full = full_modification(S, pair)
-        via_phases = construction_b(construction_a(small_modification(S, pair), pair, source=S))
+        partial = construction_a(S, pair)
+        assert partial.small == small_modification(S, pair)
+        via_phases = construction_b(partial)
         assert via_full == via_phases
 
 
@@ -197,6 +199,9 @@ class TestReferenceCascade:
                 want = reference.full_modification(S, pair)
                 where = (str(poly), pair.spec)
                 assert (got.a, got.b, got.verdict) == (want.a, want.b, want.verdict), where
+                # read before any stage or sequence is built
+                want_type = to_binary_sequence(want.result) if want.result is not None else None
+                assert got.result_type == want_type, where
                 assert got.small == want.small, where
                 assert len(got.stages) == len(want.stages), where
                 for mine, ref in zip(got.stages, want.stages):
@@ -221,6 +226,38 @@ class TestReferenceCascade:
                 assert hash(view) == hash(rebuilt)
                 assert view.arrow_images() == rebuilt.arrow_images()
             assert trace.result is trace.stages[-1].sequence
+
+    def test_result_type_is_the_type_of_the_result(self):
+        traces = results = 0
+        for poly in enumerate_polygons(10):
+            S = minimal_abs(poly)
+            for pair in eligible_pairs(S):
+                trace = full_modification(S, pair)
+                traces += 1
+                if trace.result is None:
+                    assert trace.result_type is None
+                    continue
+                results += 1
+                assert trace.result_type == to_binary_sequence(trace.result), (str(poly), pair.spec)
+        assert traces == 8726 and 0 < results < traces
+
+    def test_boundary_set_builds_no_sequence_beyond_the_minimal_one(self, monkeypatch):
+        # A cold boundary_set reads verdicts and result types off the ids:
+        # the one sequence it builds is minimal_abs's.
+        built = []
+        init = ABS._init
+
+        def counted(self, order, arrows, pos):
+            built.append(order)
+            init(self, order, arrows, pos)
+
+        polygon = parse_polygon("2,7+3,5")
+        monkeypatch.setattr(ABS, "_init", counted)
+        boundary.boundary_set.cache_clear()
+        minimal_abs.cache_clear()
+        bset = boundary.boundary_set(polygon)
+        assert len(bset.elements) == 6
+        assert built == [minimal_abs(polygon).order]
 
     def test_view_rejects_repeated_symbols(self):
         S = minimal_abs(parse_polygon("2,5+3,2"))
@@ -476,7 +513,7 @@ class TestWeylBridge:
     def test_incomplete_trace_rejected(self):
         S = minimal_abs(parse_polygon("2,5+3,2"))
         pair = parse_pair("0:1:4,1:2:2")
-        partial = construction_a(small_modification(S, pair), pair, source=S)
+        partial = construction_a(S, pair)
         with pytest.raises(PreconditionViolated):
             specialization_to_weyl(partial, JWContext(h=12, c=5))
 
@@ -502,7 +539,7 @@ class TestJson:
     def test_incomplete_trace_serializes(self):
         S = minimal_abs(parse_polygon("2,5+3,2"))
         pair = parse_pair("0:1:4,1:2:2")
-        partial = construction_a(small_modification(S, pair), pair, source=S)
+        partial = construction_a(S, pair)
         payload = trace_to_json(partial)
         assert payload["result"] is None
         assert payload["lengths"]["result"] is None

@@ -110,7 +110,7 @@ class TestExpansion:
         # Several orbits per sequence: one per segment of the polygon.
         for poly in enumerate_polygons(8):
             S = minimal_abs(poly)
-            values = [Fraction(word, den) for word, den in sequences._expansion_words(S)]
+            values = [Fraction(word, den) for word, den in sequences._expansion_words(to_binary_sequence(S), S.arrows)]
             assert values == [binary_expansion(S, t).value for t in S.order]
 
     def test_distinct_expansions_sort_with_the_order(self):
@@ -137,23 +137,28 @@ class TestDirectSum:
             summands = [minimal_abs_segment(seg.m, seg.n, k) for k, seg in enumerate(poly.segments, start=1)]
             assert direct_sum(*summands) == minimal_abs(poly), str(poly)
 
-    def test_equals_expansion_reference_on_verify_direct_sum_summands(self, monkeypatch):
-        # Every summand list verify_direct_sum builds at h <= 10: a boundary
-        # type of one adjacent pair among the other segments' minimal sequences.
-        sums = []
-
-        def checked(*summands):
-            S = direct_sum(*summands)
-            R = direct_sum_by_expansions(*summands)
-            assert S == R and hash(S) == hash(R), summands
-            sums.append(S)
-            return S
-
-        monkeypatch.setattr(boundary, "direct_sum", checked)
+    def test_equals_expansion_reference_on_verify_direct_sum_summands(self):
+        # Every element verify_direct_sum maps at h <= 10: a boundary type of
+        # one adjacent pair among the other segments' minimal sequences.  The
+        # verifier reads the image type off the merge keys alone; its report
+        # must agree with both direct sums of the same summands.
+        images = 0
         for poly in enumerate_polygons(10, min_z=2):
-            assert boundary.verify_direct_sum(poly).ok, str(poly)
+            report = boundary.verify_direct_sum(poly)
+            assert report.ok, str(poly)
+            segs = poly.segments
+            for tag, image in report.bijection:
+                slot, word = tag.removeprefix("i=").split(":")
+                i = int(slot)
+                summands = [minimal_abs_segment(s.m, s.n, segment=k) for k, s in enumerate(segs, start=1)]
+                summands[i - 1 : i + 1] = [abs_from_binary_sequence(tuple(map(int, word)))]
+                S = direct_sum(*summands)
+                R = direct_sum_by_expansions(*summands)
+                assert S == R and hash(S) == hash(R), summands
+                assert "".join(map(str, to_binary_sequence(S))) == image, (str(poly), tag)
+                images += 1
         # Each passing report maps the pairs' elements one to one onto B(poly).
-        assert len(sums) == sum(len(boundary.boundary_set(poly).elements) for poly in enumerate_polygons(10, min_z=2))
+        assert images == sum(len(boundary.boundary_set(poly).elements) for poly in enumerate_polygons(10, min_z=2))
 
     def test_equals_expansion_reference_on_words_with_several_periods(self):
         # The canonical sequence of a binary word splits into orbits of
@@ -162,7 +167,7 @@ class TestDirectSum:
         for n in range(1, 9):
             for word in itertools.product((0, 1), repeat=n):
                 T = abs_from_binary_sequence(word)
-                mixed += len({den for _, den in sequences._expansion_words(T)}) > 1
+                mixed += len({den for _, den in sequences._expansion_words(word, T.arrows)}) > 1
                 for summands in (
                     (T,),
                     (T, minimal_abs_segment(1, 2, 1)),
@@ -340,6 +345,36 @@ class TestAbsContainer:
         t = Symbol(1, 1, 0)
         with pytest.raises(ValueError):
             ABS([t, t], {t: t})
+
+    def test_every_constructor_rejects_a_repeated_symbol(self):
+        S = minimal_abs(parse_polygon("2,5+3,2"))
+        twice = (S.order[0],) + S.order[1:-1] + (S.order[0],)
+        with pytest.raises(ValueError, match="repeated"):
+            ABS(twice, {t: t for t in S.order})
+        with pytest.raises(ValueError, match="repeated"):
+            ABS(twice, {t: t for t in twice})
+        with pytest.raises(ValueError, match="repeated"):
+            ABS.from_arrows(twice, S.arrows)
+        data = abs_to_json(S)
+        with pytest.raises(ValueError, match="repeated"):
+            abs_from_json(
+                {**data, "order": data["order"][:-1] + data["order"][:1], "delta": data["delta"][:-1] + data["delta"][:1]}
+            )
+        # A reordering of a checked order names positions, so a repeat is a
+        # repeated position.
+        ids = list(range(len(S)))
+        with pytest.raises(ValueError, match="permute"):
+            ABS._reordered(S.order, ids[:-1] + [0], S.arrows)
+
+    def test_reordering_builds_its_positions_on_first_lookup(self):
+        S = minimal_abs(parse_polygon("2,5+3,2"))
+        ids = list(reversed(range(len(S))))
+        R = ABS._reordered(S.order, ids, [len(S) + 1 - S.arrows[t] for t in ids])
+        assert R._pos is None
+        assert R == reordered(S, reversed(S.order))
+        assert R._pos is None
+        assert S.order[0] in R and R.position(S.order[0]) == len(S)
+        assert R._pos is not None
 
     def test_pi_must_be_bijection_on_symbols(self):
         t, u = Symbol(1, 1, 0), Symbol(1, 2, 0)
