@@ -5,8 +5,9 @@ Example:
     python scripts/boundary_census.py --height 6 --oracle
 
 Exits 0 when the oracle agrees on every polygon, 2 on a mismatch, and 3 with
-``budget exceeded: ...`` on stderr when one specialization search needs more
-nodes than ``--budget``.
+``budget exceeded: ...`` on stderr when the oracle needs more nodes for one
+polygon than ``--budget``: C(h, c) + l(w) + 1 for a polygon of height h and
+codimension c whose minimal sequence has length l(w).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def parse_args(argv=None) -> Config:
         "--budget",
         type=int,
         default=None,
-        help="most nodes one specialization search of the oracle may visit (default 10^6, at least 1)",
+        help="most nodes the oracle may use for one polygon (default 10^6, at least 1)",
     )
     args = parser.parse_args(argv)
     try:

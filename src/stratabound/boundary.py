@@ -3,8 +3,11 @@
 B(xi) collects the types of all generic full modifications of the minimal
 sequence of xi.  Only pairs whose segments are adjacent (q = r + 1) can be
 generic, so that is what the combinatorial enumeration runs; an independent
-oracle recomputes the same set through the specialization order on coset
-representatives.
+oracle (``boundary_set_oracle``) recomputes the same set through the
+specialization order on coset representatives.  It shares no cascade code:
+``weyl.generic_specializations_oracle`` compares coloured cycle types of
+w' x against those of w x and its cocovers, and certifies every element it
+returns by an explicit u in W_J.
 
 ``boundary_set`` is memoized per polygon, bounded at ``BOUNDARY_CACHE_SIZE``
 (1024) polygons.  The verifications below compare sets of recurring
@@ -121,7 +124,11 @@ def boundary_set(polygon: NewtonPolygon) -> BoundarySet:
 
 
 def boundary_set_oracle(polygon: NewtonPolygon, budget: int | None = None) -> BoundarySet:
-    """The same set through the specialization order on coset representatives."""
+    """The same set through the specialization order on coset representatives.
+
+    The budget caps the oracle's nodes for this polygon, C(h, c) + l(w) + 1
+    (see ``weyl.generic_specializations_oracle``).
+    """
     ctx = JWContext.for_polygon(polygon)
     w = binary_to_jw(to_binary_sequence(minimal_abs(polygon)), ctx)
     types = sorted(

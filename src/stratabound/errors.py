@@ -35,10 +35,14 @@ class PreconditionViolated(StrataboundError):
 
 
 class ContextTooLarge(StrataboundError):
-    """A specialization search would visit more nodes than the budget allows.
+    """A specialization check would use more nodes than the budget allows.
 
     The budget (``--budget``, ``STRATABOUND_BUDGET``) caps the nodes one
-    search visits, one per row choice tried; |W_J| = c!·d! does not count.
+    call uses.  For the oracle (``weyl.generic_specializations_oracle``) a
+    call on w in context (h, c) needs C(h, c) + l(w) + 1 nodes: the typed
+    representatives of the context plus the permutations it types, checked
+    before any work.  For the pairwise reference search (``weyl.specializes``)
+    a node is one row choice tried.  |W_J| = c!·d! does not count.
     """
 
 

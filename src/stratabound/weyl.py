@@ -7,26 +7,62 @@ of the cosets W_J\\W for the block subgroup W_J = S_c x S_d; nu(j) = 0 iff
 w(j) > c, and the sequence length of the canonical sequence of nu equals the
 Coxeter length of w.
 
-Specialization order on representatives: w' specializes to (lies under) w
-when some u in W_J satisfies u^{-1} w' theta(u) <= w in Bruhat order, where
-theta is conjugation by the fixed shuffle x(i) = i + d (i <= c), i - c (else).
-``specializes`` decides this without enumerating W_J: a depth-first search
-builds u one row of u^{-1} w' theta(u) at a time and abandons a branch as
-soon as a lower bound on some prefix count breaks the dominance criterion
-for Bruhat order.  ``generic_specializations_oracle`` runs that search on
-every representative one length below w, bucketed by length through the
-O(h) sequence length of each representative's word.  The budget
-(``--budget``, ``STRATABOUND_BUDGET``) caps the nodes one search visits, not
-|W_J| = c! d!, so a large block subgroup costs nothing the search does not
-actually try.
+Specialization order on representatives (Pink-Wedhorn-Ziegler, Algebraic
+zip data, 2011): w' specializes to (lies under) w when some u in W_J
+satisfies u^{-1} w' theta(u) <= w in Bruhat order, where theta is
+conjugation by the fixed shuffle x(i) = i + d (i <= c), i - c (else).
 
-The search's tables depend on (h, c) alone and are built once per process:
-the packed label counts, and for each row the columns it may read and the
-prefix sums of the labels still free once it and the rows before it have
-fixed theirs (rows 1..d fix c+1..c+d, rows d+1..h fix 1..c, each in order).
-Within one search, the prefix counts of the rows a choice leaves untouched
-are kept from the node above, so a node re-counts only the rows from the
-first one whose entry it determined.
+``generic_specializations_oracle`` decides this for every representative w'
+with l(w') = l(w) - 1 by an orbit invariant, not by a search:
+
+* Rule.  w' specializes to w exactly when type(w' x) = type(v x) for some
+  v in {w} u cocovers(w).  The type of a permutation is its coloured cycle
+  type: the sorted multiset of its cycles, each read as a cyclic word of
+  colours (a value <= c is low, a value > c high) and kept as its least
+  rotation, an (n, bits) integer pair.
+* Why.  v = u^{-1} w' theta(u) is the same as v x = u^{-1} (w' x) u, so
+  twisted conjugation by W_J is ordinary conjugation of w' x by a u that
+  keeps both colours, and such conjugacy classes are exactly the coloured
+  cycle types.  A "yes" therefore needs no lemma; a "no" rests on this one.
+* Lemma.  For w' in ^JW and u in W_J, l(u^{-1} w' theta(u)) >= l(w').
+  Proof for S_h: l(u^{-1} w') = l(u) + l(w'), because w' is the minimal
+  element of its coset W_J w' (Bjorner-Brenti, Combinatorics of Coxeter
+  Groups, Prop. 2.4.4).  x is increasing on 1..c and on c+1..h, so theta
+  sends each simple reflection (i i+1) of W_J to the simple reflection
+  (x(i) x(i)+1), hence l(theta(u)) = l(u).  So l(u^{-1} w' theta(u)) >=
+  l(u^{-1} w') - l(theta(u)) = l(w').  (This is the minimal length property
+  of ^JW under W_J-twisted conjugation; He, Minimal length elements in some
+  double cosets of Coxeter groups, 2007.)  Hence an element v <= w of the
+  orbit of w' has l(w) - 1 <= l(v) <= l(w): it is w or a Bruhat cocover of
+  w.  The term w never matches, since by the lemma for w nothing in its
+  orbit is shorter than w.
+* Cocovers.  For w in ^JW every inversion is a cocover: w(i) > c >= w(j)
+  for a 0 at word position i before a 1 at j, and any k between them has
+  w(k) < w(j) (a 1) or w(k) > w(i) (a 0).  So cocovers(w) are the l(w)
+  swaps w (i j) of small modifications, and (w (i j)) x is w x with two
+  entries exchanged: the cycle holding both splits, or the two cycles
+  holding them join, and the other cycles keep their keys.
+
+The types of all C(h, c) representatives are tabulated once per (h, c), so a
+call types w x and its l(w) cocovers and looks each up.  Every "yes"
+certifies itself in O(h): matching the cycles of w' x and v x builds u,
+which is checked to lie in W_J and to give u^{-1} w' theta(u) == v exactly;
+a failure raises ``InternalCheckError``.  The budget (``--budget``,
+``STRATABOUND_BUDGET``) caps the nodes one call uses: the C(h, c) typed
+representatives of its context plus the l(w) + 1 permutations it types.
+That count is fixed by (h, c) and w and is checked before any work.
+
+``specializes`` is the pairwise reference predicate, kept for the checks: a
+depth-first search builds u one row of u^{-1} w' theta(u) at a time and
+abandons a branch as soon as a lower bound on some prefix count breaks the
+dominance criterion for Bruhat order.  Its budget caps the nodes one search
+visits.  The search's tables depend on (h, c) alone and are built once per
+process: the packed label counts, and for each row the columns it may read
+and the prefix sums of the labels still free once it and the rows before it
+have fixed theirs (rows 1..d fix c+1..c+d, rows d+1..h fix 1..c, each in
+order).  Within one search, the prefix counts of the rows a choice leaves
+untouched are kept from the node above, so a node re-counts only the rows
+from the first one whose entry it determined.
 
 >>> ctx = JWContext(h=3, c=1)
 >>> x_element(ctx).images
@@ -38,10 +74,11 @@ first one whose entry it determined.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ContextTooLarge, DimensionMismatch
+from .errors import ContextTooLarge, DimensionMismatch, InternalCheckError
 from .newton import NewtonPolygon
 from .sequences import word_length
 
@@ -187,44 +224,37 @@ def jw_to_binary(w: Permutation, ctx: JWContext) -> tuple[int, ...]:
 
 
 def is_jw(w: Permutation, ctx: JWContext) -> bool:
-    """True when w^{-1} is increasing on 1..c and on c+1..h."""
-    if w.degree != ctx.h:
-        return False
-    inv = w.inverse().images
-    lower = inv[: ctx.c]
-    upper = inv[ctx.c :]
-    return all(a < b for a, b in zip(lower, lower[1:])) and all(
-        a < b for a, b in zip(upper, upper[1:])
-    )
+    """True when w^{-1} is increasing on 1..c and on c+1..h.
+
+    That is, w lists 1..c in order and c+1..h in order, so w is the
+    representative ``binary_to_jw`` builds from its own word.
+    """
+    c = ctx.c
+    return w.degree == ctx.h and _jw_images([1 if v <= c else 0 for v in w.images], c) == w.images
 
 
-@lru_cache(maxsize=None)
-def _jw_elements(h: int, c: int) -> tuple[Permutation, ...]:
-    # One context checks (h, c); each word below has c ones by construction.
+def _jw_image_tuples(h: int, c: int) -> list[tuple[int, ...]]:
+    # The images of every representative, lexicographic.  One context checks
+    # (h, c); each word below has c ones by construction.
     d = JWContext(h, c).d
     out = []
     for zero_positions in itertools.combinations(range(h), d):
         nu = [1] * h
         for z in zero_positions:
             nu[z] = 0
-        out.append(Permutation(_jw_images(nu, c)))
-    out.sort(key=lambda w: w.images)
-    return tuple(out)
+        out.append(_jw_images(nu, c))
+    out.sort()
+    return out
+
+
+@lru_cache(maxsize=None)
+def _jw_elements(h: int, c: int) -> tuple[Permutation, ...]:
+    return tuple(Permutation(images) for images in _jw_image_tuples(h, c))
 
 
 def jw_elements(ctx: JWContext) -> tuple[Permutation, ...]:
     """All C(h, d) minimal representatives, lexicographic on images."""
     return _jw_elements(ctx.h, ctx.c)
-
-
-@lru_cache(maxsize=None)
-def _jw_by_length(h: int, c: int) -> dict[int, tuple[Permutation, ...]]:
-    # Coxeter length -> the representatives of that length, in jw_elements order.
-    # A representative's length is the sequence length of its word, O(h).
-    buckets: dict[int, list[Permutation]] = {}
-    for w in _jw_elements(h, c):
-        buckets.setdefault(word_length(0 if v > c else 1 for v in w.images), []).append(w)
-    return {length: tuple(ws) for length, ws in buckets.items()}
 
 
 def x_element(ctx: JWContext) -> Permutation:
@@ -381,9 +411,217 @@ def specializes(w_target: Permutation, w: Permutation, ctx: JWContext, budget: i
     return _witness_exists(w_target.images, w.images, ctx.c, resolve_budget(budget))
 
 
+def _times_x(w: tuple[int, ...], c: int) -> list[int]:
+    # w x as a list P with P[a] = w(x(a)) and entry 0 unused: x sends 1..c to
+    # d+1..h and c+1..h to 1..d, so w x reads w's last c entries, then its first d
+    d = len(w) - c
+    return [0, *w[d:], *w[:d]]
+
+
+@lru_cache(maxsize=None)
+def _shuffle(h: int, c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # x and x^{-1} as tuples with entry 0 unused
+    d = h - c
+    return (0, *range(d + 1, h + 1), *range(1, d + 1)), (0, *range(c + 1, h + 1), *range(1, c + 1))
+
+
+def _cycles(P: list[int], c: int) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
+    # One walk over P's cycles: (cycle, index, cycles).  cycles[i] is
+    # (n, bits, a): the length of cycle i, its colour word read along a, P(a),
+    # P(P(a)), ... from its least element a (a 1 for each element <= c, the
+    # first element in the top bit), and a; element e is index[e] steps
+    # after a on cycle cycle[e].
+    h = len(P) - 1
+    cycle, index = [-1] * (h + 1), [0] * (h + 1)
+    out = []
+    for a in range(1, h + 1):
+        if cycle[a] >= 0:
+            continue
+        i = len(out)
+        bits = n = 0
+        b = a
+        while cycle[b] < 0:
+            cycle[b], index[b] = i, n
+            bits = bits << 1 | (b <= c)
+            n += 1
+            b = P[b]
+        out.append((n, bits, a))
+    return cycle, index, out
+
+
+@lru_cache(maxsize=1 << 12)
+def _necklace(n: int, bits: int) -> tuple[tuple[int, int], int]:
+    # The key (n, least rotation) of an n-bit colour word, one tuple per word,
+    # and how far left the least rotation turns the word; read r steps
+    # further along its cycle, a cycle's word turns left by r.
+    mask = (1 << n) - 1
+    double = bits << n | bits
+    best, shift = bits, 0
+    for r in range(1, n):
+        rot = double >> (n - r) & mask
+        if rot < best:
+            best, shift = rot, r
+    return (n, best), shift
+
+
+def _keyed_cycles(P: list[int], c: int) -> list[tuple[tuple[int, int], int]]:
+    """Each cycle of P as ``((length, least rotation), start)``, sorted.
+
+    The key is the cycle's colour word (a 1 for each element <= c) kept as
+    its least rotation, an n-bit integer; read from ``start`` along P, the
+    cycle spells exactly that rotation.
+    """
+    out = []
+    for n, bits, a in _cycles(P, c)[2]:
+        key, shift = _necklace(n, bits)
+        for _ in range(shift):
+            a = P[a]
+        out.append((key, a))
+    out.sort()
+    return out
+
+
+def _cocover_types(P: list[int], c: int, swaps) -> list[tuple[tuple[int, int], ...]]:
+    """The coloured cycle type of P, then of P with entries p and q exchanged for each (p, q) in swaps.
+
+    Exchanging P(p) and P(q) splits the cycle holding both, or joins the two
+    cycles holding them; every other cycle keeps its key.  Let R(e) be the
+    colour word of e's cycle read from P(e) round to e.  If p and q share a
+    cycle of length n, q lying k steps after p, the split cycles read the top
+    k bits and the low n - k bits of R(p); otherwise the joined cycle reads
+    R(q) then R(p).  So P's cycles are walked once, and each exchange costs
+    O(h) list and bit operations.
+    """
+    cycle, index, cycles = _cycles(P, c)
+    keys = [_necklace(n, bits)[0] for n, bits, _ in cycles]
+    out = [tuple(sorted(keys))]
+    for p, q in swaps:
+        i, j = cycle[p], cycle[q]
+        n, bits, _ = cycles[i]
+        word = (bits << n | bits) >> (n - 1 - index[p]) & ((1 << n) - 1)  # R(p)
+        rest = keys.copy()
+        if i == j:
+            k = (index[q] - index[p]) % n
+            del rest[i]
+            rest.append(_necklace(k, word >> (n - k))[0])
+            rest.append(_necklace(n - k, word & ((1 << (n - k)) - 1))[0])
+        else:
+            m, bits, _ = cycles[j]
+            word_q = (bits << m | bits) >> (m - 1 - index[q]) & ((1 << m) - 1)  # R(q)
+            del rest[max(i, j)]
+            del rest[min(i, j)]
+            rest.append(_necklace(n + m, word_q << n | word)[0])
+        rest.sort()
+        out.append(tuple(rest))
+    return out
+
+
+def _cycle_type(P: list[int], c: int) -> tuple[tuple[int, int], ...]:
+    """The coloured cycle type of P: the sorted keys of its cycles.
+
+    Two permutations are conjugate by a u that keeps 1..c and c+1..h exactly
+    when their coloured cycle types are equal.
+
+    >>> _cycle_type([0, 2, 1, 3], 1)  # (1 2) and (3): words 10 and 0
+    ((1, 0), (2, 1))
+    """
+    return _cocover_types(P, c, ())[0]
+
+
+@lru_cache(maxsize=None)
+def _type_table(h: int, c: int) -> dict[tuple[tuple[int, int], ...], tuple[int, tuple[tuple[int, ...], ...]]]:
+    """Coloured cycle type of w x -> (length, the images of the representatives w of that type).
+
+    Representatives of one type lie in one W_J-orbit, so by the lemma (see
+    the module docstring) they share one length; a table that breaks this
+    raises ``InternalCheckError``.  Every type holds one representative at
+    h <= 14.
+    """
+    table: dict = {}
+    for w in _jw_image_tuples(h, c):
+        length = word_length(0 if v > c else 1 for v in w)
+        entry = table.setdefault(_cycle_type(_times_x(w, c), c), (length, []))
+        if entry[0] != length:
+            raise InternalCheckError(f"{entry[1][0]} and {w} share a W_J-orbit but differ in length")
+        entry[1].append(w)
+    return {t: (length, tuple(ws)) for t, (length, ws) in table.items()}
+
+
+def _certificate(wp: tuple[int, ...], v: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """A u in W_J with u^{-1} wp theta(u) == v, found by matching the cycles of wp x and v x.
+
+    v x = u^{-1} (wp x) u means u carries each cycle of v x onto a cycle of
+    wp x with the same colour word.  u is built so from the two sorted
+    ``_keyed_cycles`` lists, then checked to lie in W_J and to satisfy
+    wp theta(u) == u v exactly.  Raises ``InternalCheckError`` otherwise,
+    for example when the two coloured cycle types differ.
+    """
+    h = len(wp)
+    P, Q = _times_x(wp, c), _times_x(v, c)
+    u = [0] * (h + 1)
+    # both lists cover 1..h, so if the keys agree pair by pair, every cycle is matched
+    for (key, b), (v_key, a) in zip(_keyed_cycles(P, c), _keyed_cycles(Q, c)):
+        if key != v_key:
+            raise InternalCheckError(f"{v} is not W_J-twisted conjugate to {wp} (c={c})")
+        for _ in range(key[0]):
+            u[a] = b
+            a, b = Q[a], P[b]
+    x, x_inv = _shuffle(h, c)
+    if max(u[1 : c + 1], default=0) > c or any(wp[x[u[x_inv[a]]] - 1] != u[v[a - 1]] for a in range(1, h + 1)):
+        raise InternalCheckError(f"the conjugator {tuple(u[1:])} does not carry {wp} to {v} within W_J (c={c})")
+    return tuple(u[1:])
+
+
+def _certified_specializations(
+    w: Permutation, ctx: JWContext, budget: int | None = None
+) -> tuple[tuple[Permutation, tuple[int, ...], tuple[int, ...]], ...]:
+    """``(w', v, u)`` for each representative w' one length below w that specializes to w.
+
+    v is w or a cocover of w with v x of w' x's coloured cycle type, and u
+    is the certificate: u^{-1} w' theta(u) == v <= w.  Sorted by w''s images.
+    """
+    h, c = ctx.h, ctx.c
+    img = w.images
+    if not is_jw(w, ctx):
+        raise DimensionMismatch(f"{w} is not a minimal coset representative for {ctx}")
+    # w's inversions, all of them cocovers: a 0 at position i before a 1 at j
+    inversions = [(i, j) for j in range(1, h + 1) if img[j - 1] <= c for i in range(1, j) if img[i - 1] > c]
+    limit = resolve_budget(budget)
+    if math.comb(h, c) + len(inversions) + 1 > limit:
+        raise ContextTooLarge(f"the search visited more than {limit} nodes for JWContext(h={h}, c={c})")
+    table = _type_table(h, c)
+    below = len(inversions) - 1
+    P = _times_x(img, c)
+    # (w (i j)) x is w x with the entries at x^{-1}(i) and x^{-1}(j) exchanged
+    x_inv = _shuffle(h, c)[1]
+    types = _cocover_types(P, c, [(x_inv[i], x_inv[j]) for i, j in inversions])
+    found: dict[tuple[int, ...], tuple] = {}
+    # (1, 1) exchanges nothing: it stands for w itself
+    for (i, j), t in zip([(1, 1), *inversions], types):
+        entry = table.get(t)
+        if entry is None or entry[0] != below:
+            continue
+        v = list(img)
+        v[i - 1], v[j - 1] = v[j - 1], v[i - 1]
+        v = tuple(v)
+        for wp in entry[1]:
+            if wp not in found:
+                found[wp] = (v, _certificate(wp, v, c))
+    return tuple((Permutation(wp), *found[wp]) for wp in sorted(found))
+
+
 def generic_specializations_oracle(
     w: Permutation, ctx: JWContext, budget: int | None = None
 ) -> tuple[Permutation, ...]:
-    """Representatives one length below w that specialize to w, by ``specializes``."""
-    candidates = _jw_by_length(ctx.h, ctx.c).get(coxeter_length(w) - 1, ())
-    return tuple(wp for wp in candidates if specializes(wp, w, ctx, budget))
+    """Representatives one length below w that specialize to w, in ``jw_elements`` order.
+
+    Decided by coloured cycle types (see the module docstring), each "yes"
+    certified.  The budget caps the nodes the call uses: the C(h, c) typed
+    representatives of its context plus the l(w) + 1 permutations it types;
+    a call that needs more raises ``ContextTooLarge`` before any work.
+
+    >>> ctx = JWContext(h=3, c=1)
+    >>> [wp.images for wp in generic_specializations_oracle(Permutation((2, 3, 1)), ctx)]
+    [(2, 1, 3)]
+    """
+    return tuple(wp for wp, _, _ in _certified_specializations(w, ctx, budget))

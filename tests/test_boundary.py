@@ -49,6 +49,12 @@ class TestBoundarySet:
         for poly in polygons:
             assert boundary_set(poly).types() == boundary_set_oracle(poly).types(), str(poly)
 
+    def test_matches_oracle_at_height_10(self):
+        polygons = [p for p in enumerate_polygons(10) if p.height == 10]
+        assert len(polygons) == 401
+        for poly in polygons:
+            assert boundary_set(poly).types() == boundary_set_oracle(poly).types(), str(poly)
+
     def test_methods_are_labelled(self):
         poly = parse_polygon("1,2+1,1")
         assert boundary_set(poly).method != boundary_set_oracle(poly).method

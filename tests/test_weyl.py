@@ -17,13 +17,18 @@ from reference import (
     specializes_bruteforce,
     witness_exists_sorted,
 )
-from stratabound.errors import ContextTooLarge, DimensionMismatch
+from stratabound.errors import ContextTooLarge, DimensionMismatch, InternalCheckError
 from stratabound.newton import enumerate_polygons, parse_polygon
 from stratabound.sequences import abs_from_binary_sequence, length, minimal_abs, to_binary_sequence
 from stratabound.weyl import (
     JWContext,
     Permutation,
-    _jw_by_length,
+    _certificate,
+    _certified_specializations,
+    _cocover_types,
+    _cycle_type,
+    _times_x,
+    _type_table,
     binary_to_jw,
     bruhat_leq,
     coxeter_length,
@@ -144,14 +149,18 @@ class TestRepresentatives:
                     assert coxeter_length(w) == cross
 
     def test_length_buckets_equal_coxeter_length_buckets(self):
-        # _jw_by_length buckets by the word's sequence length; it must equal
-        # bucketing by Coxeter length, each bucket in jw_elements order.
+        # The oracle's type table gives each type the sequence length of its
+        # representatives' words; bucketing the table by that length must
+        # equal bucketing by Coxeter length, each bucket in jw_elements order.
         for h in range(1, 10):
             for c in range(0, h + 1):
                 expected: dict[int, list[Permutation]] = {}
                 for w in jw_elements(JWContext(h=h, c=c)):
                     expected.setdefault(coxeter_length(w), []).append(w)
-                got = _jw_by_length(h, c)
+                got: dict[int, list[Permutation]] = {}
+                for length, ws in _type_table(h, c).values():
+                    got.setdefault(length, []).extend(map(Permutation, ws))
+                got = {length: tuple(sorted(ws, key=lambda w: w.images)) for length, ws in got.items()}
                 assert got == {length: tuple(ws) for length, ws in expected.items()}, (h, c)
 
     def test_word_mismatch_errors(self):
@@ -319,3 +328,135 @@ class TestSpecializationOrder:
         for wp in generic_specializations_oracle(w, ctx):
             assert coxeter_length(wp) == coxeter_length(w) - 1
             assert is_jw(wp, ctx)
+
+
+class TestCycleTypeOracle:
+    """The coloured-cycle-type rule behind ``generic_specializations_oracle``."""
+
+    def test_type_is_the_block_conjugacy_class(self):
+        # Two permutations share a coloured cycle type exactly when some u in
+        # W_J = S_c x S_d conjugates one into the other, every c, h <= 5.
+        for h in range(1, 6):
+            perms = [list((0, *p)) for p in itertools.permutations(range(1, h + 1))]
+            for c in range(0, h + 1):
+                us = [u.images for u in parabolic_elements(JWContext(h=h, c=c))]
+                for P in perms:
+                    orbit = set()
+                    for u in us:
+                        u_inv = [0] * (h + 1)
+                        for a, b in enumerate(u, start=1):
+                            u_inv[b] = a
+                        orbit.add(tuple(u_inv[P[u[a - 1]]] for a in range(1, h + 1)))
+                    t = _cycle_type(P, c)
+                    same = {tuple(Q[1:]) for Q in perms if _cycle_type(Q, c) == t}
+                    assert same == orbit, (P, c)
+
+    def test_exchanged_entries_split_or_join_cycles(self):
+        # _cocover_types reads each exchange off the cycles of P; it must equal
+        # the type of P with the two entries exchanged, for every pair, h <= 6.
+        for h in range(1, 7):
+            pairs = list(itertools.combinations(range(1, h + 1), 2))
+            for p in itertools.permutations(range(1, h + 1)):
+                P = [0, *p]
+                for c in range(0, h + 1):
+                    expected = [_cycle_type(P, c)]
+                    for a, b in pairs:
+                        Q = list(P)
+                        Q[a], Q[b] = Q[b], Q[a]
+                        expected.append(_cycle_type(Q, c))
+                    assert _cocover_types(P, c, pairs) == expected, (P, c)
+
+    def test_rule_equals_search_on_every_candidate_h9(self):
+        # For every c and every w in ^JW, every representative one length
+        # below w: the rule accepts it exactly when the reference search does.
+        candidates = accepted = 0
+        for h in range(1, 10):
+            for c in range(0, h + 1):
+                ctx = JWContext(h=h, c=c)
+                elems = jw_elements(ctx)
+                for w in elems:
+                    got = set(generic_specializations_oracle(w, ctx))
+                    below = [wp for wp in elems if coxeter_length(wp) == coxeter_length(w) - 1]
+                    expected = {wp for wp in below if specializes(wp, w, ctx)}
+                    assert got == expected, (w, ctx)
+                    candidates += len(below)
+                    accepted += len(got)
+        assert candidates == 4816
+        assert 0 < accepted < candidates
+
+    def test_every_certificate_lies_under_w_h9(self):
+        # Each "yes" comes with u: u lies in W_J and u^{-1} w' theta(u) is the
+        # cocover v, which lies under w in Bruhat order.
+        certified = 0
+        for h in range(1, 10):
+            for c in range(0, h + 1):
+                ctx = JWContext(h=h, c=c)
+                for w in jw_elements(ctx):
+                    for wp, v, u_images in _certified_specializations(w, ctx):
+                        u = Permutation(u_images)
+                        assert all(u(a) <= c for a in range(1, c + 1))
+                        conjugate = u.inverse() * wp * theta(u, ctx)
+                        assert conjugate.images == v
+                        assert coxeter_length(conjugate) == coxeter_length(w) - 1
+                        assert bruhat_leq(conjugate, w), (wp, w, ctx)
+                        certified += 1
+        assert certified > 0
+
+    def test_certificate_rejects_a_non_conjugate_pair(self):
+        # (1 2 3) and (1 3 2) x-twisted at c = 1: w x has one 3-cycle, v x
+        # three fixed points, so no u in W_J carries one to the other.
+        wp, v = (2, 3, 1), (3, 1, 2)
+        assert _cycle_type(_times_x(wp, 1), 1) != _cycle_type(_times_x(v, 1), 1)
+        with pytest.raises(InternalCheckError, match="not W_J-twisted conjugate"):
+            _certificate(wp, v, 1)
+        assert _certificate((1, 2, 3), (1, 2, 3), 1) == (1, 2, 3)
+
+    def test_lemma_no_conjugate_is_shorter_h7(self):
+        # l(u^{-1} w' theta(u)) >= l(w') for every w' in ^JW and u in W_J.
+        checked = 0
+        for h in range(1, 8):
+            for c in range(0, h + 1):
+                ctx = JWContext(h=h, c=c)
+                twists = [(u.inverse().images, theta(u, ctx).images) for u in parabolic_elements(ctx)]
+                for wp in jw_elements(ctx):
+                    img = wp.images
+                    length = coxeter_length(wp)
+                    for u_inv, th in twists:
+                        v = [u_inv[img[th[a] - 1] - 1] for a in range(h)]
+                        inversions = sum(1 for a in range(h) for b in range(a + 1, h) if v[a] > v[b])
+                        assert inversions >= length, (wp, ctx)
+                        checked += 1
+        assert checked == sum((h + 1) * math.factorial(h) for h in range(1, 8))
+
+    def test_budget_is_the_nodes_one_call_needs(self):
+        # C(h, c) typed representatives plus the l(w) + 1 permutations typed:
+        # a budget of exactly that many nodes suffices, one less raises, and
+        # the count does not depend on whether the table is already built.
+        for spec in ("1,2+2,1", "2,5+3,2", "0,1+5,1+1,0"):
+            poly = parse_polygon(spec)
+            ctx = JWContext.for_polygon(poly)
+            w = binary_to_jw(to_binary_sequence(minimal_abs(poly)), ctx)
+            nodes = math.comb(ctx.h, ctx.c) + coxeter_length(w) + 1
+            _type_table.cache_clear()
+            with pytest.raises(ContextTooLarge, match=f"more than {nodes - 1} nodes for JWContext"):
+                generic_specializations_oracle(w, ctx, budget=nodes - 1)
+            expected = generic_specializations_oracle(w, ctx, budget=nodes)
+            assert expected
+            with pytest.raises(ContextTooLarge):
+                generic_specializations_oracle(w, ctx, budget=nodes - 1)
+            assert generic_specializations_oracle(w, ctx, budget=nodes) == expected
+
+    def test_oracle_rejects_a_non_representative(self):
+        with pytest.raises(DimensionMismatch):
+            generic_specializations_oracle(Permutation((3, 2, 1)), JWContext(h=3, c=1))
+        with pytest.raises(DimensionMismatch):
+            generic_specializations_oracle(Permutation((1, 2)), JWContext(h=3, c=1))
+
+    def test_type_table_lengths_are_one_per_type(self):
+        # Every type holds one representative (checked at h <= 10); the table
+        # would raise if two of one type differed in length.
+        for h in range(1, 11):
+            for c in range(0, h + 1):
+                table = _type_table(h, c)
+                assert sum(len(ws) for _, ws in table.values()) == math.comb(h, c)
+                assert all(len(ws) == 1 for _, ws in table.values()), (h, c)
