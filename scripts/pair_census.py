@@ -64,9 +64,8 @@ def main(argv=None) -> int:
         print(f"{verdict:{width}s}" + "".join(f"{n:12d}" for n in counts) + f"{sum(counts):10d}")
     print(f"\ntraces: {len(rows)}")
 
-    generic_nonadjacent = [w for w in witnesses]
-    print(f"generic verdicts from non-adjacent pairs: {len(generic_nonadjacent)}")
-    for row in generic_nonadjacent[: cfg.witnesses]:
+    print(f"generic verdicts from non-adjacent pairs: {len(witnesses)}")
+    for row in witnesses[: cfg.witnesses]:
         print(f"  {row.polygon}  pair {row.pair}")
     distant_generic = [w for w in witnesses if not w.renaming_adjacent()]
     print(f"generic verdicts beyond renaming-adjacency: {len(distant_generic)}")

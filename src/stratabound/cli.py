@@ -2,8 +2,10 @@
 
 Subcommands: abs, modify, boundary, phi, verify, sweep.  Polygons are given
 as ``m,n+m,n``; modification pairs as ``0:r:i,1:q:j``.  Exit codes: 0 ok,
-1 usage or domain error, 2 verification failure, 3 search budget exceeded
-(a specialization search visited more nodes than ``--budget`` allows).
+1 usage or domain error, 2 verification failure, 3 budget exceeded (the
+oracle needs C(h, c) + l(w) + 1 nodes for a polygon of height h and
+codimension c whose minimal sequence has length l(w), and ``--budget``
+allows fewer).
 """
 
 from __future__ import annotations
@@ -169,7 +171,9 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("sweep", help="oracle-equivalence census up to a height bound")
     sp.add_argument("--height", type=int, required=True, help="maximum total height")
-    sp.add_argument("--budget", type=int, help="search-node budget override")
+    sp.add_argument(
+        "--budget", type=int, help="node budget override; caps the oracle's C(h, c) + l(w) + 1 nodes per polygon"
+    )
     add_common(sp, _cmd_sweep)
     return parser
 

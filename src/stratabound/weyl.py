@@ -54,15 +54,9 @@ That count is fixed by (h, c) and w and is checked before any work.
 
 ``specializes`` is the pairwise reference predicate, kept for the checks: a
 depth-first search builds u one row of u^{-1} w' theta(u) at a time and
-abandons a branch as soon as a lower bound on some prefix count breaks the
-dominance criterion for Bruhat order.  Its budget caps the nodes one search
-visits.  The search's tables depend on (h, c) alone and are built once per
-process: the packed label counts, and for each row the columns it may read
-and the prefix sums of the labels still free once it and the rows before it
-have fixed theirs (rows 1..d fix c+1..c+d, rows d+1..h fix 1..c, each in
-order).  Within one search, the prefix counts of the rows a choice leaves
-untouched are kept from the node above, so a node re-counts only the rows
-from the first one whose entry it determined.
+abandons a branch as soon as the sorted lower bound of some prefix of rows
+exceeds w's sorted prefix entrywise (the tableau form of the dominance
+criterion for Bruhat order).  Its budget caps the nodes one search visits.
 
 >>> ctx = JWContext(h=3, c=1)
 >>> x_element(ctx).images
@@ -75,6 +69,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -247,14 +242,9 @@ def _jw_image_tuples(h: int, c: int) -> list[tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _jw_elements(h: int, c: int) -> tuple[Permutation, ...]:
-    return tuple(Permutation(images) for images in _jw_image_tuples(h, c))
-
-
 def jw_elements(ctx: JWContext) -> tuple[Permutation, ...]:
     """All C(h, d) minimal representatives, lexicographic on images."""
-    return _jw_elements(ctx.h, ctx.c)
+    return tuple(Permutation(images) for images in _jw_image_tuples(ctx.h, ctx.c))
 
 
 def x_element(ctx: JWContext) -> Permutation:
@@ -278,121 +268,76 @@ def resolve_budget(budget: int | None) -> int:
     return budget
 
 
-@lru_cache(maxsize=None)
-def _search_tables(h: int, c: int) -> tuple[tuple[int, ...], int, tuple[tuple, ...]]:
-    """The packed label counts ``T``, the guard bits and the per-row tables of the search.
+def _witness_exists(wt: tuple[int, ...], w: tuple[int, ...], c: int, limit: int) -> tuple[bool, int]:
+    """Whether some u in W_J gives u^{-1} wt theta(u) <= w, and the nodes the search visited.
 
-    Field j (width ``width``, j = 1..h) of a packed integer holds a count of
-    entries >= j, so label s contributes ``T[s]``, a 1 in fields 1..s.  Row
-    a's table is ``(cols, shift, lab, low, high)``: the columns it may read,
-    the offset from column to value, the label it fixes, and the prefix sums
-    of ``T`` over the labels still free in the low (1..c) and high (c+1..h)
-    value blocks once rows 1..a have fixed theirs.  Rows 1..d fix c+1..c+d
-    and rows d+1..h fix 1..c, each in order, so the free labels at row a
-    depend on a alone.
+    A node is one row choice tried; a search that would visit more than
+    ``limit`` nodes raises ``ContextTooLarge``.
     """
-    d = h - c
-    width = h.bit_length() + 1
-    T = [0] * (h + 1)
-    for s in range(1, h + 1):
-        T[s] = T[s - 1] | 1 << (width * (s - 1))
-    guard = T[h] << (width - 1)
-
-    def sums(labels) -> tuple[int, ...]:
-        # sums[k] = the T values of the k smallest labels given
-        out = [0]
-        for lab in labels:
-            out.append(out[-1] + T[lab])
-        return tuple(out)
-
-    rows = [None]
-    for a in range(1, h + 1):
-        if a <= d:
-            rows.append((range(1, d + 1), c, a + c, sums(range(1, c + 1)), sums(range(a + c + 1, h + 1))))
-        else:
-            rows.append((range(d + 1, h + 1), -d, a - d, sums(range(a - d + 1, c + 1)), (0,)))
-    return tuple(T), guard, tuple(rows)
-
-
-def _witness_exists(wt: tuple[int, ...], w: tuple[int, ...], c: int, limit: int) -> bool:
     # Depth-first search for u in W_J with v = u^{-1} wt theta(u) <= w, built
     # one row of v at a time.  Row a of v reads wt at column b = theta(u)(a);
     # rows a <= d take b in 1..d and fix u^{-1}(b + c) = a + c, rows a > d take
     # b in d+1..h and fix u^{-1}(b - d) = a - d.  v(a) = u^{-1}(wt(b)) is known
     # once wt(b) has a label.  An undetermined entry of a value block is
     # counted as the smallest label still free in that block, which bounds
-    # every count #{a <= i : v(a) >= j} from below; a prefix whose bound
-    # exceeds w's count for some j (the dominance criterion) cannot complete.
-    # Sources are tried in increasing order, so u = id is the first leaf.
-    #
-    # Counts are packed (see ``_search_tables``): a prefix's count vector is
-    # the sum of its entries' T values.  Each field holds a count up to h
-    # below its top (guard) bit, so (w's counts + guard bits) - (the bound's
-    # counts) borrows across no field, and leaves every guard bit set exactly
-    # when w's count is at least the bound's in every field.
+    # every count #{a <= i : v(a) >= j} from below; a prefix whose sorted
+    # bound exceeds w's sorted prefix entrywise (the tableau form of the
+    # dominance criterion) cannot complete.  Sources are tried in increasing
+    # order, so u = id is the first leaf.
     h = len(wt)
-    T, guard, rows = _search_tables(h, c)
-    w_counts = [guard] * (h + 1)  # w_counts[i] = guard bits + w's counts over rows 1..i
-    for i in range(1, h + 1):
-        w_counts[i] = w_counts[i - 1] + T[w[i - 1]]
+    d = h - c
+    w_prefix = [sorted(w[: i + 1], reverse=True) for i in range(h)]
     col_of = [0] * (h + 1)  # col_of[x] = the column b with wt(b) = x
     for b, x in enumerate(wt, start=1):
         col_of[x] = b
     label = [0] * (h + 1)  # label[x] = u^{-1}(x), 0 while free
     row_of = [0] * (h + 1)  # row_of[b] = the row reading column b, 0 while unread
     reads = [0] * (h + 1)  # reads[a] = wt(b) for the column b that row a reads
-    # Sums over rows 1..i: the T values of the labelled entries, and the
-    # numbers of unlabelled entries in the low and in the high value block.
-    # Entries 0..valid hold for the current labels.
-    known = [0] * (h + 1)
-    free_low = [0] * (h + 1)
-    free_high = [0] * (h + 1)
-    valid = 0
     nodes = 0
 
+    def fits(lo: int, a: int) -> bool:
+        # Whether the bound of rows 1..i fits w's for every i in lo..a.  Rows
+        # 1..a have fixed their labels, so the labels still free are
+        # first_low..c and first_high..h.
+        first_low = max(a - d, 0) + 1
+        first_high = c + min(a, d) + 1
+        values = []
+        free_low = free_high = 0
+        for i in range(1, a + 1):
+            x = reads[i]
+            if label[x]:
+                values.append(label[x])
+            elif x <= c:
+                free_low += 1
+            else:
+                free_high += 1
+            if i >= lo:
+                bound = [*values, *range(first_low, first_low + free_low), *range(first_high, first_high + free_high)]
+                bound.sort(reverse=True)
+                if any(map(operator.gt, bound, w_prefix[i - 1])):
+                    return False
+        return True
+
     def place(a: int) -> bool:
-        nonlocal nodes, valid
+        nonlocal nodes
         if a > h:
             return True
-        cols, shift, lab, low, high = rows[a]
+        cols, shift, lab = (range(1, d + 1), c, a + c) if a <= d else (range(d + 1, h + 1), -d, a - d)
         for b in cols:
             if row_of[b]:
                 continue
             nodes += 1
             if nodes > limit:
-                raise ContextTooLarge(
-                    f"the search visited more than {limit} nodes for JWContext(h={h}, c={c})"
-                )
+                raise ContextTooLarge(f"the search visited more than {limit} nodes for JWContext(h={h}, c={c})")
             x = b + shift
             reads[a], row_of[b], label[x] = wt[b - 1], a, lab
-            # re-check every prefix holding an entry this choice determined,
-            # from row lo on; rows 1..lo-1 count as they did before it, so
-            # their sums are kept wherever they are still valid
-            lo = row_of[col_of[x]] or a
-            start = valid if valid < lo else lo - 1
-            k, fl, fh = known[start], free_low[start], free_high[start]
-            valid = lo - 1
-            for i in range(start + 1, a + 1):
-                y = reads[i]
-                if label[y]:
-                    k += T[label[y]]
-                elif y <= c:
-                    fl += 1
-                else:
-                    fh += 1
-                known[i], free_low[i], free_high[i] = k, fl, fh
-                if i >= lo and (w_counts[i] - k - low[fl] - high[fh]) & guard != guard:
-                    break
-            else:
-                valid = a
-                if place(a + 1):
-                    return True
-                if valid >= lo:  # undoing the choice changes rows lo..a again
-                    valid = lo - 1
+            # re-check every prefix holding an entry this choice determined
+            if fits(row_of[col_of[x]] or a, a) and place(a + 1):
+                return True
             row_of[b], label[x] = 0, 0
         return False
 
-    return place(1)
+    return place(1), nodes
 
 
 def specializes(w_target: Permutation, w: Permutation, ctx: JWContext, budget: int | None = None) -> bool:
@@ -408,7 +353,7 @@ def specializes(w_target: Permutation, w: Permutation, ctx: JWContext, budget: i
     """
     if w_target.degree != ctx.h or w.degree != ctx.h:
         raise DimensionMismatch(f"degrees must equal h={ctx.h}")
-    return _witness_exists(w_target.images, w.images, ctx.c, resolve_budget(budget))
+    return _witness_exists(w_target.images, w.images, ctx.c, resolve_budget(budget))[0]
 
 
 def _times_x(w: tuple[int, ...], c: int) -> list[int]:

@@ -26,9 +26,6 @@
   give the same answer.
 * The block subgroup W_J itself (``parabolic_elements``), guarded by a cap
   on |W_J| = c! d!.
-* The pruned witness search with each prefix bound checked by sorting
-  (the tableau form of the dominance criterion).  The library adds packed
-  threshold counts instead; tests require the same answer.
 * Bruhat order by walking cover relations down from w, against the
   library's dominance criterion.
 * The duality map on types by permutation conjugation: the word's
@@ -36,8 +33,9 @@
   a word of the dual context.  The library reverses and flips the word.
 * The generic specializations of w built from transpositions: every
   u (w s) theta(u^{-1}) with s a length-lowering transposition and u in W_J,
-  kept if it is a representative one length below w.  The library filters
-  the representatives of that length with ``specializes`` instead.
+  kept if it is a representative one length below w.  The library matches
+  coloured cycle types of w' x against those of w x and its cocovers
+  instead.
 """
 
 from __future__ import annotations
@@ -450,77 +448,3 @@ def generic_specializations_by_transpositions(
                     found.add(wp)
     return tuple(sorted(found, key=lambda p: p.images))
 
-
-def witness_exists_sorted(wt: tuple[int, ...], w: tuple[int, ...], c: int) -> tuple[bool, int]:
-    """The witness search with the bound checked by sorting each prefix.
-
-    Same search, bound and order of tries as ``weyl._witness_exists``, with
-    no node budget; the library sums packed counts instead of sorting.
-    Returns whether a witness exists and the nodes visited (row choices
-    tried), the count the library holds against its budget.
-    """
-    # Depth-first search for u in W_J with v = u^{-1} wt theta(u) <= w, built
-    # one row of v at a time.  Row a of v reads wt at column b = theta(u)(a);
-    # rows a <= d take b in 1..d and fix u^{-1}(b + c) = a + c, rows a > d take
-    # b in d+1..h and fix u^{-1}(b - d) = a - d.  v(a) = u^{-1}(wt(b)) is known
-    # once wt(b) has a label.  An undetermined entry of a value block is
-    # counted as the smallest label still free in that block, which bounds
-    # every count #{a <= i : v(a) >= j} from below; a prefix whose sorted
-    # bound exceeds w's sorted prefix entrywise (the tableau form of the
-    # dominance criterion) cannot complete.  Sources are tried in increasing
-    # order, so u = id is the first leaf.
-    h = len(wt)
-    d = h - c
-    w_prefix = [sorted(w[: i + 1], reverse=True) for i in range(h)]
-    col_of = [0] * (h + 1)  # col_of[x] = the column b with wt(b) = x
-    for b, x in enumerate(wt, start=1):
-        col_of[x] = b
-    label = [0] * (h + 1)  # label[x] = u^{-1}(x), 0 while free
-    labelled = [False] * (h + 1)  # labelled[l]: some x has label l
-    row_of = [0] * (h + 1)  # row_of[b] = the row reading column b, 0 while unread
-    reads = [0] * (h + 1)  # reads[a] = wt(b) for the column b that row a reads
-    nodes = 0
-
-    def prefix_fits(i: int) -> bool:
-        values = []
-        free_low = free_high = 0
-        for a in range(1, i + 1):
-            x = reads[a]
-            if label[x]:
-                values.append(label[x])
-            elif x <= c:
-                free_low += 1
-            else:
-                free_high += 1
-        for lab, k in ((1, free_low), (c + 1, free_high)):
-            while k:
-                if not labelled[lab]:
-                    values.append(lab)
-                    k -= 1
-                lab += 1
-        values.sort(reverse=True)
-        bound = w_prefix[i - 1]
-        return all(values[r] <= bound[r] for r in range(i))
-
-    def place(a: int) -> bool:
-        nonlocal nodes
-        if a > h:
-            return True
-        cols, shift, lab = (range(1, d + 1), c, a + c) if a <= d else (range(d + 1, h + 1), -d, a - d)
-        labelled[lab] = True
-        for b in cols:
-            if row_of[b]:
-                continue
-            nodes += 1
-            x = b + shift
-            reads[a], row_of[b], label[x] = wt[b - 1], a, lab
-            # re-check every prefix holding an entry this choice determined
-            lo = row_of[col_of[x]] or a
-            if all(prefix_fits(i) for i in range(lo, a + 1)) and place(a + 1):
-                return True
-            row_of[b], label[x] = 0, 0
-        labelled[lab] = False
-        return False
-
-    found = place(1)
-    return found, nodes

@@ -197,6 +197,9 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+        code, out, _ = run(capsys, "sweep", "--help")
+        assert code == 0
+        assert "C(h, c) + l(w) + 1 nodes per polygon" in " ".join(out.split())
 
     @pytest.mark.parametrize(
         "argv",

@@ -15,12 +15,12 @@ from reference import (
     generic_specializations_by_transpositions,
     parabolic_elements,
     specializes_bruteforce,
-    witness_exists_sorted,
 )
 from stratabound.errors import ContextTooLarge, DimensionMismatch, InternalCheckError
 from stratabound.newton import enumerate_polygons, parse_polygon
 from stratabound.sequences import abs_from_binary_sequence, length, minimal_abs, to_binary_sequence
 from stratabound.weyl import (
+    DEFAULT_BUDGET,
     JWContext,
     Permutation,
     _certificate,
@@ -29,6 +29,7 @@ from stratabound.weyl import (
     _cycle_type,
     _times_x,
     _type_table,
+    _witness_exists,
     binary_to_jw,
     bruhat_leq,
     coxeter_length,
@@ -279,36 +280,25 @@ class TestSpecializationOrder:
                 if coxeter_length(wp) == coxeter_length(w) - 1:
                     assert specializes(wp, w, ctx) == specializes_bruteforce(wp, w, ctx), (str(poly), wp)
 
-    def test_packed_search_equals_sorted_search_h9(self):
-        # Every candidate the oracle filter tests for a polygon of height 9.
-        for poly in enumerate_polygons(9):
-            if poly.height != 9:
-                continue
-            ctx = JWContext.for_polygon(poly)
-            w = binary_to_jw(to_binary_sequence(minimal_abs(poly)), ctx)
-            for wp in jw_elements(ctx):
-                if coxeter_length(wp) == coxeter_length(w) - 1:
-                    expected, _ = witness_exists_sorted(wp.images, w.images, ctx.c)
-                    assert specializes(wp, w, ctx) == expected, (str(poly), wp)
-
     def test_budget_of_the_sorted_search_node_count_suffices_h8(self):
-        # The library visits exactly the reference search's nodes: on every
-        # candidate the oracle filter tests at h <= 8, a budget of that count
-        # finishes the search and one node less does not.
-        checked = 0
+        # On every candidate the oracle filter tests at h <= 8, a budget of
+        # the nodes the search visits finishes it and one node less does not.
+        checked = nodes = 0
         for poly in enumerate_polygons(8):
             ctx = JWContext.for_polygon(poly)
             w = binary_to_jw(to_binary_sequence(minimal_abs(poly)), ctx)
             for wp in jw_elements(ctx):
                 if coxeter_length(wp) != coxeter_length(w) - 1:
                     continue
-                expected, n = witness_exists_sorted(wp.images, w.images, ctx.c)
+                expected, n = _witness_exists(wp.images, w.images, ctx.c, DEFAULT_BUDGET)
                 assert n >= 2, (str(poly), wp)
                 assert specializes(wp, w, ctx, budget=n) == expected, (str(poly), wp)
                 with pytest.raises(ContextTooLarge, match=f"more than {n - 1} nodes"):
                     specializes(wp, w, ctx, budget=n - 1)
                 checked += 1
+                nodes += n
         assert checked == 826
+        assert nodes == 26505
 
     def test_oracle_methods_agree(self):
         for h in range(2, 7):
@@ -369,20 +359,27 @@ class TestCycleTypeOracle:
     def test_rule_equals_search_on_every_candidate_h9(self):
         # For every c and every w in ^JW, every representative one length
         # below w: the rule accepts it exactly when the reference search does.
-        candidates = accepted = 0
+        candidates = accepted = nodes = 0
         for h in range(1, 10):
             for c in range(0, h + 1):
                 ctx = JWContext(h=h, c=c)
                 elems = jw_elements(ctx)
                 for w in elems:
                     got = set(generic_specializations_oracle(w, ctx))
-                    below = [wp for wp in elems if coxeter_length(wp) == coxeter_length(w) - 1]
-                    expected = {wp for wp in below if specializes(wp, w, ctx)}
+                    expected = set()
+                    for wp in elems:
+                        if coxeter_length(wp) != coxeter_length(w) - 1:
+                            continue
+                        found, n = _witness_exists(wp.images, w.images, c, DEFAULT_BUDGET)
+                        if found:
+                            expected.add(wp)
+                        candidates += 1
+                        nodes += n
                     assert got == expected, (w, ctx)
-                    candidates += len(below)
                     accepted += len(got)
         assert candidates == 4816
-        assert 0 < accepted < candidates
+        assert accepted == 2033
+        assert nodes == 365527
 
     def test_every_certificate_lies_under_w_h9(self):
         # Each "yes" comes with u: u lies in W_J and u^{-1} w' theta(u) is the
