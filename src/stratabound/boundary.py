@@ -21,10 +21,12 @@ Three structural identities are verified against explicitly computed sets:
 * direct-sum:   B(xi) is the disjoint union over adjacent segment pairs i of
                 B((m_i,n_i)+(m_{i+1},n_{i+1})), embedded by direct-summing
                 each element with the minimal sequences of the remaining
-                segments (slot i holds the element's sequence).  The image
-                type is read off the integer merge keys of the summands'
-                expansion words (the other segments' words taken once per
-                pair), so no summand or image sequence is built.
+                segments (slot i holds the element's sequence).  The minimal
+                sequence of a segment (m, n) is the canonical sequence of its
+                word 1^m 0^n, as is each element's sequence of its type, so
+                ``direct_sum_type(types)`` reads the image type off the
+                summands' plain 0/1 words: no summand or image sequence is
+                built.
 * curtailment:  for two segments with slope_1 >= slope_2 >= 1/2, dropping the
                 symbols {pi(t) : delta(t) = 1} identifies the minimal
                 sequence of xi^C inside that of xi, carries pairs and
@@ -45,15 +47,7 @@ from functools import lru_cache
 from .errors import DimensionMismatch, PreconditionViolated, VerificationFailure
 from .modification import GENERIC, SmallModPair, eligible_pairs, full_modification
 from .newton import NewtonPolygon, curtail, dual, polygon_to_json
-from .sequences import (
-    ABS,
-    _expansion_words,
-    _segment_words,
-    canonical_arrows,
-    direct_sum_type,
-    minimal_abs,
-    to_binary_sequence,
-)
+from .sequences import ABS, direct_sum_type, minimal_abs, to_binary_sequence
 from .weyl import JWContext, binary_to_jw, generic_specializations_oracle, jw_to_binary
 
 COMBINATORIAL = "Combinatorial"
@@ -185,7 +179,7 @@ def verify_direct_sum(polygon: NewtonPolygon) -> Report:
     segs = polygon.segments
     whole = boundary_set(polygon)
     whole_types = whole.types()
-    parts = [_segment_part(s) for s in segs]
+    words = [(1,) * s.m + (0,) * s.n for s in segs]
     lhs = []
     bijection = []
     images: dict[tuple[int, ...], str] = {}
@@ -194,12 +188,9 @@ def verify_direct_sum(polygon: NewtonPolygon) -> Report:
         part = NewtonPolygon((segs[i - 1], segs[i]))
         part_set = boundary_set(part)
         lhs.append(f"i={i} {part}: {sorted(_fmt(t) for t in part_set.types())}")
-        before, after = parts[: i - 1], parts[i + 1 :]
         for element in part_set.elements:
             tag = f"i={i}:{_fmt(element.type)}"
-            word = element.type
-            summands = before + [(word, _expansion_words(word, canonical_arrows(word)))] + after
-            image = direct_sum_type([labels for labels, _ in summands], [words for _, words in summands])
+            image = direct_sum_type(words[: i - 1] + [element.type] + words[i + 1 :])
             bijection.append((tag, _fmt(image)))
             if image in images and witness is None:
                 witness = {"check": "injective", "image": _fmt(image), "sources": [images[image], tag]}
@@ -218,12 +209,6 @@ def verify_direct_sum(polygon: NewtonPolygon) -> Report:
         status="ok" if witness is None else "fail",
         witness=witness,
     )
-
-
-def _segment_part(seg) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    """Labels and expansion words of the minimal sequence of one segment."""
-    den, words = _segment_words(seg.m, seg.n)
-    return (1,) * seg.m + (0,) * seg.n, [(word, den) for word in words]
 
 
 def _curtail_removed(S: ABS) -> frozenset:
@@ -271,7 +256,6 @@ def verify_curtailment(polygon: NewtonPolygon) -> Report:
             "only_curtailed": [p.spec for p in set(pairs_R) - set(pairs_S)],
         }
 
-    bijection = []
     restricted_types: dict[tuple[int, ...], tuple[int, ...]] = {}
     if witness is None:
         for pair in pairs_S:
@@ -305,26 +289,39 @@ def verify_curtailment(polygon: NewtonPolygon) -> Report:
 
     lhs_set = boundary_set(polygon)
     rhs_set = boundary_set(curtailed)
+    if witness is None and set(restricted_types) != lhs_set.types():
+        missing = sorted(_fmt(t) for t in lhs_set.types() - set(restricted_types))
+        witness = {"check": "covers_boundary", "missing": missing}
+    return _type_map_report(
+        polygon, "curtailment", restricted_types, lhs_set, rhs_set, "onto_curtailed_boundary", witness
+    )
+
+
+def _type_map_report(polygon, kind, mapped, lhs_set, rhs_set, onto_check, witness) -> Report:
+    """Report on ``mapped``, from the types of ``lhs_set``, as a bijection onto those of ``rhs_set``.
+
+    A ``witness`` found before is kept, and then the bijection stays empty;
+    otherwise the map must be injective (``injective``) and onto
+    (``onto_check``, listing the ``extra`` and ``missing`` types).
+    """
+    bijection = ()
     if witness is None:
-        if set(restricted_types) != lhs_set.types():
-            witness = {"check": "covers_boundary", "missing": sorted(_fmt(t) for t in lhs_set.types() - set(restricted_types))}
-        else:
-            bijection = sorted((_fmt(t), _fmt(r)) for t, r in restricted_types.items())
-            image = set(restricted_types.values())
-            if len(image) != len(restricted_types):
-                witness = {"check": "injective"}
-            elif image != rhs_set.types():
-                witness = {
-                    "check": "onto_curtailed_boundary",
-                    "extra": sorted(_fmt(t) for t in image - rhs_set.types()),
-                    "missing": sorted(_fmt(t) for t in rhs_set.types() - image),
-                }
+        bijection = tuple(sorted((_fmt(t), _fmt(m)) for t, m in mapped.items()))
+        image = set(mapped.values())
+        if len(image) != len(mapped):
+            witness = {"check": "injective"}
+        elif image != rhs_set.types():
+            witness = {
+                "check": onto_check,
+                "extra": sorted(_fmt(t) for t in image - rhs_set.types()),
+                "missing": sorted(_fmt(t) for t in rhs_set.types() - image),
+            }
     return Report(
         polygon=polygon,
-        kind="curtailment",
+        kind=kind,
         lhs=tuple(sorted(_fmt(t) for t in lhs_set.types())),
         rhs=tuple(sorted(_fmt(t) for t in rhs_set.types())),
-        bijection=tuple(bijection),
+        bijection=bijection,
         status="ok" if witness is None else "fail",
         witness=witness,
     )
@@ -351,24 +348,5 @@ def verify_duality(polygon: NewtonPolygon) -> Report:
     lhs_set = boundary_set(polygon)
     rhs_set = boundary_set(dual_polygon)
     c = polygon.codimension
-    mapped = {t: duality_map_type(t, c) for t in sorted(lhs_set.types())}
-    bijection = tuple((_fmt(t), _fmt(m)) for t, m in mapped.items())
-    witness = None
-    image = set(mapped.values())
-    if len(image) != len(mapped):
-        witness = {"check": "injective"}
-    elif image != rhs_set.types():
-        witness = {
-            "check": "onto_dual_boundary",
-            "extra": sorted(_fmt(t) for t in image - rhs_set.types()),
-            "missing": sorted(_fmt(t) for t in rhs_set.types() - image),
-        }
-    return Report(
-        polygon=polygon,
-        kind="duality",
-        lhs=tuple(sorted(_fmt(t) for t in lhs_set.types())),
-        rhs=tuple(sorted(_fmt(t) for t in rhs_set.types())),
-        bijection=bijection,
-        status="ok" if witness is None else "fail",
-        witness=witness,
-    )
+    mapped = {t: duality_map_type(t, c) for t in lhs_set.types()}
+    return _type_map_report(polygon, "duality", mapped, lhs_set, rhs_set, "onto_dual_boundary", None)

@@ -47,7 +47,11 @@ def _resolve_budget(args) -> int:
     budget = getattr(args, "budget", None)
     if budget is None:
         env = os.environ.get("STRATABOUND_BUDGET")
-        budget = int(env) if env else None
+        if env:
+            try:
+                budget = int(env)
+            except ValueError:
+                raise ValueError(f"STRATABOUND_BUDGET must be an integer, got {env!r}") from None
     return resolve_budget(budget)
 
 
@@ -119,6 +123,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # Text rows are printed as each polygon is checked, so a run stopped by
+    # the budget keeps the rows before it; --json prints one array at the end.
     budget = _resolve_budget(args)
     rows = []
     failures = 0
@@ -128,11 +134,11 @@ def _cmd_sweep(args) -> int:
         ok = combinatorial == oracle
         failures += 0 if ok else 1
         rows.append({"polygon": str(p), "count": len(combinatorial), "status": "ok" if ok else "mismatch"})
+        if not args.json:
+            print(f"{p}  |B|={len(combinatorial)}  {rows[-1]['status']}")
     if args.json:
         print(json.dumps(rows))
     else:
-        for row in rows:
-            print(f"{row['polygon']}  |B|={row['count']}  {row['status']}")
         print(f"checked {len(rows)} polygons, {failures} mismatches")
     return 0 if failures == 0 else 2
 

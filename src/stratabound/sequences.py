@@ -11,10 +11,15 @@ delta(t) = 0 and delta(t') = 1.  Each symbol also carries a binary expansion
 0.b_1 b_2 ... with b_i = delta(pi^{-i}(t)), an eventually periodic word whose
 exact rational value drives the canonical ordering of direct sums.  Along one
 pi-orbit consecutive words are rotations of each other, so one walk per orbit
-yields every value.  The minimal sequence of a polygon merges its segments by
-these values; the values of a segment (m, n) depend on (m, n) alone (pi^{-1}
-shifts positions by m) and are computed once per process, as integer words
-over the denominator 2^(m+n) - 1.  This merge, ``direct_sum`` and
+yields every value, as integer words over the denominators 2^p - 1.
+
+Every 0/1 word has one canonical (admissible) sequence, and the minimal
+sequence of a segment (m, n) is the canonical sequence of its word 1^m 0^n:
+its arrows (i - m - 1) mod (m+n) + 1 are that word's canonical arrows, so
+their expansion words agree too.  The expansion words of a word's canonical
+sequence are computed once per word per process, and serve both the merge
+of a polygon's segments in ``minimal_abs`` and ``direct_sum_type(types)``,
+which takes the summands as plain 0/1 words.  That merge, ``direct_sum`` and
 ``direct_sum_type`` compare the same exact integer keys: the first K bits of
 each value's expansion, K the sum of the distinct expansion periods (the
 segment heights, or the summands' orbit lengths), so no ``Fraction`` is
@@ -195,6 +200,8 @@ def minimal_abs_segment(m: int, n: int, segment: int = 1) -> ABS:
 
     Symbols t_1 .. t_{m+n} in that order, the first m labelled 1, and
     pi(t_i) = t_{((i - m - 1) mod (m+n)) + 1}: one cycle shifting by -m.
+    These are the canonical arrows of the word 1^m 0^n, so the sequence is
+    ``abs_from_binary_sequence`` of that word, its symbols in ``segment``.
 
     >>> S = minimal_abs_segment(2, 7)
     >>> S.arrow_images()
@@ -206,21 +213,20 @@ def minimal_abs_segment(m: int, n: int, segment: int = 1) -> ABS:
 
 
 def _segment_parts(m: int, n: int, segment: int) -> tuple[list[Symbol], list[int]]:
-    # order and arrows of minimal_abs_segment(m, n, segment)
-    h = m + n
-    syms = [Symbol(segment, i, 1 if i <= m else 0) for i in range(1, h + 1)]
-    return syms, [(i - m - 1) % h + 1 for i in range(1, h + 1)]
+    # order and arrows of minimal_abs_segment(m, n, segment): the canonical
+    # arrows of the word 1^m 0^n are (i - m - 1) mod (m+n) + 1
+    word = (1,) * m + (0,) * n
+    return [Symbol(segment, i, b) for i, b in enumerate(word, start=1)], canonical_arrows(word)
 
 
 def binary_expansion(S: ABS, t: Symbol) -> BinaryExpansion:
-    """Expansion word b_i = delta(pi^{-i}(t)) over one full pi-orbit of t."""
-    bits = []
-    cur = t
-    while True:
-        cur = S.pi_inverse(cur)
-        bits.append(cur.label)
-        if cur == t:
-            return BinaryExpansion(tuple(bits))
+    """Expansion word b_i = delta(pi^{-i}(t)) over one full pi-orbit of t.
+
+    Read off the integer word ``_expansion_words`` gives t: its p bits, p the
+    orbit length.
+    """
+    word, den = _expansion_words(to_binary_sequence(S), S.arrows)[S.position(t) - 1]
+    return BinaryExpansion(tuple(word >> k & 1 for k in reversed(range(den.bit_length()))))
 
 
 def length(S: ABS) -> int:
@@ -266,17 +272,20 @@ def direct_sum(*summands: ABS) -> ABS:
     )
 
 
-def direct_sum_type(labels, words) -> tuple[int, ...]:
-    """The type of a direct sum, from each summand's labels and ``_expansion_words``.
+def direct_sum_type(types) -> tuple[int, ...]:
+    """The type of the direct sum of the canonical sequences of the 0/1 words ``types``.
 
-    The same merge as ``direct_sum`` on the same integer keys, but only the
-    labels are read along the merged order: no sequence is built.
+    The same merge as ``direct_sum`` on the same integer keys, read off each
+    word's ``_canonical_words``, but only the labels are read along the
+    merged order: no sequence is built.  The word 1^m 0^n stands for the
+    minimal sequence of the segment (m, n), which is its canonical sequence.
 
-    >>> S = minimal_abs_segment(1, 1)
-    >>> direct_sum_type([(1, 0), (1, 0)], [_expansion_words((1, 0), S.arrows)] * 2)
+    >>> direct_sum_type([(1, 0), (1, 0)])
     (1, 1, 0, 0)
     """
-    return tuple([labels[k][idx] for k, idx in _merge_order(_expansion_keys(words))])
+    types = [tuple(t) for t in types]
+    keys = _expansion_keys([_canonical_words(t) for t in types])
+    return tuple([types[k][idx] for k, idx in _merge_order(keys)])
 
 
 def _expansion_words(labels, arrows) -> list[tuple[int, int]]:
@@ -323,19 +332,13 @@ def _cycle_words(bits: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _segment_words(m: int, n: int) -> tuple[int, tuple[int, ...]]:
-    """Expansion values of t_1 .. t_{m+n} in the minimal sequence of segment (m, n).
+def _canonical_words(word: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """``_expansion_words`` of the canonical sequence of the 0/1 word, once per word per process.
 
-    Returned as the denominator 2^(m+n) - 1 and one integer word per symbol.
-    pi^{-1} shifts positions by +m, and for coprime (m, n) that one orbit
-    visits every position.
+    For the word 1^m 0^n of a segment (m, n) that sequence is the segment's
+    minimal sequence, so these are the values ``minimal_abs`` merges by.
     """
-    h = m + n
-    orbit = [(k * m) % h for k in range(h)]
-    words = [0] * h
-    for z, word in zip(orbit, _cycle_words([1 if z < m else 0 for z in orbit])):
-        words[z] = word
-    return (1 << h) - 1, tuple(words)
+    return tuple(_expansion_words(word, canonical_arrows(word)))
 
 
 def _merge_order(values) -> list[tuple[int, int]]:
@@ -378,16 +381,17 @@ def _expansion_keys(values) -> list[list[int]]:
 def _merge_keys(segments) -> dict[tuple[int, int], list[int]]:
     """Integer merge keys of each distinct segment (m, n), checked for ties.
 
-    The keys are ``_expansion_keys`` of the segments' words (period m + n).
-    Ties across distinct segments would break the canonical order and raise.
+    The keys are ``_expansion_keys`` of the ``_canonical_words`` of each
+    segment's word 1^m 0^n (period m + n).  Ties across distinct segments
+    would break the canonical order and raise.
     """
     distinct = dict.fromkeys(segments)
-    groups = [_segment_words(*pair) for pair in distinct]
-    all_keys = _expansion_keys([[(word, den) for word in words] for den, words in groups])
+    groups = [_canonical_words((1,) * m + (0,) * n) for m, n in distinct]
+    all_keys = _expansion_keys(groups)
     owner: dict[int, tuple[int, int]] = {}
-    for pair, (den, words), keys in zip(distinct, groups, all_keys):
+    for pair, words, keys in zip(distinct, groups, all_keys):
         distinct[pair] = keys
-        for word, key in zip(words, keys):
+        for (word, den), key in zip(words, keys):
             other = owner.setdefault(key, pair)
             if other != pair:
                 raise InternalCheckError(
@@ -416,9 +420,9 @@ def minimal_abs(polygon: NewtonPolygon) -> ABS:
     Expansion ties across summands can only come from equal segments; anything
     else would break the canonical order, so it is checked outright.  The
     expansion words of each distinct (m, n) are computed once per process,
-    straight from (m, n); ``_merge_keys`` turns them into exact integer keys
-    for both the tie check and the merge, which reads each segment's order and
-    arrows without building its sequence.
+    as the ``_canonical_words`` of 1^m 0^n; ``_merge_keys`` turns them into
+    exact integer keys for both the tie check and the merge, which reads each
+    segment's order and arrows without building its sequence.
 
     Memoized per polygon (at most ``MINIMAL_ABS_CACHE_SIZE`` of them, least
     recently used dropped first); a sequence is immutable, so every caller
@@ -473,8 +477,7 @@ def is_admissible(S: ABS) -> bool:
     >>> is_admissible(minimal_abs_segment(2, 7))
     True
     """
-    canonical = abs_from_binary_sequence(to_binary_sequence(S))
-    return S.arrow_images() == canonical.arrow_images()
+    return list(S.arrows) == canonical_arrows(to_binary_sequence(S))
 
 
 def render_ascii(S: ABS) -> str:

@@ -15,11 +15,17 @@
 * The expansion-sorted length bound used to certify never-empty cascades.
 * ``reordered``: the same symbols and bijection in a new order, through a
   symbol-keyed mapping.
-* The direct sum built from ``binary_expansion`` of each summand's symbols,
+* Binary expansions by walking pi^{-1} symbol by symbol over one orbit.  The
+  library reads them off integer words, one walk per orbit
+  (``_expansion_words``).
+* A segment's expansion words straight from (m, n): pi^{-1} shifts
+  positions by m.  The library takes the expansion words of the canonical
+  sequence of the word 1^m 0^n (``_canonical_words``).
+* The direct sum built from the walked expansion of each summand's symbols,
   sorted on ``Fraction`` values, and a symbol-keyed merge; the minimal
   sequence of a polygon is that sum of its minimal segments.  The library
   merges on exact integer keys instead (``_expansion_keys``), and computes
-  each distinct segment's expansion words once, straight from (m, n).
+  each distinct segment's expansion words once.
 * The specialization test by full scan: every u in W_J = S_c x S_d is
   tried, from a table of (u^{-1}, theta(u)) image tuples built once per
   (h, c).  The library searches with pruning instead; tests require both to
@@ -61,7 +67,15 @@ from stratabound.modification import (
     SmallModPair,
 )
 from stratabound.newton import NewtonPolygon
-from stratabound.sequences import ABS, Symbol, binary_expansion, length, minimal_abs_segment, word_length
+from stratabound.sequences import (
+    ABS,
+    BinaryExpansion,
+    Symbol,
+    _cycle_words,
+    length,
+    minimal_abs_segment,
+    word_length,
+)
 from stratabound.weyl import (
     JWContext,
     Permutation,
@@ -80,13 +94,39 @@ def reordered(S: ABS, order) -> ABS:
     return ABS(order, {t: S.pi(t) for t in S.order})
 
 
+def expansion_by_orbit_walk(S: ABS, t: Symbol) -> BinaryExpansion:
+    """Expansion word b_i = delta(pi^{-i}(t)), one ``pi_inverse`` step per bit over t's orbit."""
+    bits = []
+    cur = t
+    while True:
+        cur = S.pi_inverse(cur)
+        bits.append(cur.label)
+        if cur == t:
+            return BinaryExpansion(tuple(bits))
+
+
+def segment_words_by_shift(m: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """Expansion values of t_1 .. t_{m+n} in the minimal sequence of segment (m, n).
+
+    Returned as the denominator 2^(m+n) - 1 and one integer word per symbol.
+    pi^{-1} shifts positions by +m, and for coprime (m, n) that one orbit
+    visits every position.
+    """
+    h = m + n
+    orbit = [(k * m) % h for k in range(h)]
+    words = [0] * h
+    for z, word in zip(orbit, _cycle_words([1 if z < m else 0 for z in orbit])):
+        words[z] = word
+    return (1 << h) - 1, tuple(words)
+
+
 def direct_sum_by_expansions(*summands: ABS) -> ABS:
     """Direct sum: the summands' symbols sorted by (expansion value, summand,
-    position), each value a ``Fraction`` read off ``binary_expansion``, with
-    pi carried over symbol by symbol.  A symbol in two summands raises
+    position), each value a ``Fraction`` read off ``expansion_by_orbit_walk``,
+    with pi carried over symbol by symbol.  A symbol in two summands raises
     ``ValueError``, as in the library."""
     keyed = sorted(
-        (binary_expansion(S, t).value, k, z, t)
+        (expansion_by_orbit_walk(S, t).value, k, z, t)
         for k, S in enumerate(summands)
         for z, t in enumerate(S.order)
     )
@@ -326,7 +366,7 @@ def expansion_sorted_length_bound(S: ABS) -> int:
     number of 0-before-1 pairs.  Used to confirm that never-terminating
     cascades cannot reach length l(S) - 1.
     """
-    ordered = sorted(S.order, key=lambda t: (binary_expansion(S, t).value, t.label))
+    ordered = sorted(S.order, key=lambda t: (expansion_by_orbit_walk(S, t).value, t.label))
     return word_length(t.label for t in ordered)
 
 

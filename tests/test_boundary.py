@@ -10,8 +10,11 @@ import pytest
 
 import golden
 from reference import duality_map_by_conjugation
+from stratabound import boundary
 from stratabound.boundary import (
     BOUNDARY_CACHE_SIZE,
+    BoundaryElement,
+    BoundarySet,
     Report,
     boundary_set,
     boundary_set_oracle,
@@ -181,6 +184,69 @@ class TestDuality:
     def test_wrong_segment_count_rejected(self):
         with pytest.raises(PreconditionViolated):
             verify_duality(parse_polygon("1,2"))
+
+
+class TestFailureReports:
+    """Each type-map witness, forced by a patched collaborator, with its exact payload."""
+
+    def stub_boundary_set(self, monkeypatch, polygon, word):
+        # boundary_set as before, except that ``polygon`` gets the one-element set {word}.
+        real = boundary.boundary_set
+
+        def patched(p):
+            if p == parse_polygon(polygon):
+                return BoundarySet(p, (BoundaryElement(tuple(map(int, word)), ()),), "stub")
+            return real(p)
+
+        monkeypatch.setattr(boundary, "boundary_set", patched)
+
+    def test_duality_constant_map_is_not_injective(self, monkeypatch):
+        monkeypatch.setattr(boundary, "duality_map_type", lambda bits, c: (1, 1, 1, 0, 0, 0))
+        assert verify_duality(parse_polygon("1,2+2,1")).to_json() == {
+            "polygon": "1,2+2,1",
+            "kind": "duality",
+            "lhs": ["101100", "110010"],
+            "rhs": ["101100", "110010"],
+            "bijection": [["101100", "111000"], ["110010", "111000"]],
+            "status": "fail",
+            "witness": {"check": "injective"},
+        }
+
+    def test_duality_wrong_map_is_not_onto(self, monkeypatch):
+        monkeypatch.setattr(boundary, "duality_map_type", lambda bits, c: tuple(1 - b for b in bits))
+        assert verify_duality(parse_polygon("1,2+2,1")).to_json() == {
+            "polygon": "1,2+2,1",
+            "kind": "duality",
+            "lhs": ["101100", "110010"],
+            "rhs": ["101100", "110010"],
+            "bijection": [["101100", "010011"], ["110010", "001101"]],
+            "status": "fail",
+            "witness": {"check": "onto_dual_boundary", "extra": ["001101", "010011"], "missing": ["101100", "110010"]},
+        }
+
+    def test_curtailment_onto_curtailed_boundary(self, monkeypatch):
+        self.stub_boundary_set(monkeypatch, "1,1+1,0", "011")
+        assert verify_curtailment(parse_polygon("1,2+1,1")).to_json() == {
+            "polygon": "1,2+1,1",
+            "kind": "curtailment",
+            "lhs": ["11000"],
+            "rhs": ["011"],
+            "bijection": [["11000", "110"]],
+            "status": "fail",
+            "witness": {"check": "onto_curtailed_boundary", "extra": ["110"], "missing": ["011"]},
+        }
+
+    def test_curtailment_covers_boundary_leaves_the_bijection_empty(self, monkeypatch):
+        self.stub_boundary_set(monkeypatch, "1,2+1,1", "00011")
+        assert verify_curtailment(parse_polygon("1,2+1,1")).to_json() == {
+            "polygon": "1,2+1,1",
+            "kind": "curtailment",
+            "lhs": ["00011"],
+            "rhs": ["110"],
+            "bijection": [],
+            "status": "fail",
+            "witness": {"check": "covers_boundary", "missing": ["00011"]},
+        }
 
 
 # SHA-256 of every report scripts/verify_suite.py produces at its default

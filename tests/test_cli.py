@@ -188,6 +188,19 @@ class TestSweepSubcommand:
         assert code == 1 and out == ""
         assert err.startswith("usage error") and "at least 1" in err
 
+    def test_budget_env_not_an_integer_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("STRATABOUND_BUDGET", "1e6")
+        code, out, err = run(capsys, "sweep", "--height", "3")
+        assert code == 1 and out == ""
+        assert err == "usage error: STRATABOUND_BUDGET must be an integer, got '1e6'\n"
+
+    def test_rows_checked_before_the_budget_runs_out_are_printed(self, capsys):
+        code, out, err = run(capsys, "sweep", "--height", "6", "--budget", "20")
+        assert code == 3 and err.startswith("budget exceeded")
+        rows = out.splitlines()
+        assert len(rows) == 9 and all(row.endswith("  ok") for row in rows)
+        assert rows[0] == "0,1  |B|=0  ok"
+
 
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self, capsys):

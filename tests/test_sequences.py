@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,13 @@ from hypothesis import strategies as st
 
 import golden
 from conftest import binary_words, polygons
-from reference import direct_sum_by_expansions, minimal_abs_by_expansions, reordered
+from reference import (
+    direct_sum_by_expansions,
+    expansion_by_orbit_walk,
+    minimal_abs_by_expansions,
+    reordered,
+    segment_words_by_shift,
+)
 from stratabound import boundary, sequences
 from stratabound.errors import InternalCheckError, SymbolNotInSequence
 from stratabound.newton import enumerate_polygons, parse_polygon
@@ -22,6 +29,7 @@ from stratabound.sequences import (
     abs_from_json,
     abs_to_json,
     binary_expansion,
+    canonical_arrows,
     direct_sum,
     is_admissible,
     length,
@@ -110,8 +118,10 @@ class TestExpansion:
         # Several orbits per sequence: one per segment of the polygon.
         for poly in enumerate_polygons(8):
             S = minimal_abs(poly)
+            walked = [expansion_by_orbit_walk(S, t) for t in S.order]
             values = [Fraction(word, den) for word, den in sequences._expansion_words(to_binary_sequence(S), S.arrows)]
-            assert values == [binary_expansion(S, t).value for t in S.order]
+            assert values == [e.value for e in walked]
+            assert [binary_expansion(S, t) for t in S.order] == walked
 
     def test_distinct_expansions_sort_with_the_order(self):
         for poly in enumerate_polygons(8):
@@ -120,6 +130,41 @@ class TestExpansion:
             for (bv, pv), (bw, pw) in itertools.combinations(pairs, 2):
                 if bv != bw:
                     assert (bv < bw) == (pv < pw)
+
+
+def coprime_segments(max_height):
+    return [(m, h - m) for h in range(1, max_height + 1) for m in range(h + 1) if math.gcd(m, h - m) == 1]
+
+
+class TestSegmentIsCanonical:
+    """The minimal sequence of a segment (m, n) is the canonical sequence of 1^m 0^n."""
+
+    def test_arrows_are_the_formula_and_the_canonical_arrows(self):
+        for m, n in coprime_segments(40):
+            h = m + n
+            arrows = minimal_abs_segment(m, n).arrows
+            assert arrows == tuple((i - m - 1) % h + 1 for i in range(1, h + 1)), (m, n)
+            assert list(arrows) == canonical_arrows((1,) * m + (0,) * n), (m, n)
+
+    def test_expansion_words_are_the_shift_orbit(self):
+        for m, n in coprime_segments(40):
+            den, words = segment_words_by_shift(m, n)
+            assert sequences._canonical_words((1,) * m + (0,) * n) == tuple((word, den) for word in words), (m, n)
+
+    def test_direct_sum_type_is_the_type_of_the_direct_sum(self):
+        words = [w for k in range(1, 5) for w in itertools.product((0, 1), repeat=k)]
+        canonical = {
+            (w, k): ABS.from_arrows([Symbol(k, i, b) for i, b in enumerate(w, start=1)], canonical_arrows(w))
+            for w in words
+            for k in (1, 2, 3)
+        }
+        sums = 0
+        for r in (2, 3):
+            for types in itertools.product(words, repeat=r):
+                S = direct_sum(*(canonical[w, k] for k, w in enumerate(types, start=1)))
+                assert sequences.direct_sum_type(types) == to_binary_sequence(S), types
+                sums += 1
+        assert sums == 30**2 + 30**3
 
 
 class TestDirectSum:
@@ -239,12 +284,12 @@ class TestMinimalAbs:
     def test_tie_between_distinct_segments_raises(self, monkeypatch):
         # Distinct coprime segments never share an expansion value, so the
         # tie is forced by giving every symbol the value 1/2: word 1 over the
-        # denominator 2.  The patch replaces _segment_words, the cached
+        # denominator 2.  The patch replaces _canonical_words, the cached
         # function the merge keys are computed from; the memo of minimal_abs
         # is emptied first, so no cached sequence can stand in for the patch,
         # and again afterwards, so none built under the patch outlives it.
         minimal_abs.cache_clear()
-        monkeypatch.setattr(sequences, "_segment_words", lambda m, n: (2, (1,) * (m + n)))
+        monkeypatch.setattr(sequences, "_canonical_words", lambda word: ((1, 2),) * len(word))
         try:
             tie = r"expansion tie 1/2 between distinct segments \(1, 2\) and \(1, 1\)"
             with pytest.raises(InternalCheckError, match=tie):
