@@ -15,18 +15,11 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 from stratabound.modification import GENERIC, modification_census
 
 
-@dataclass(frozen=True)
-class Config:
-    height: int
-    witnesses: int
-
-
-def parse_args(argv=None) -> Config:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--height", type=int, default=8, help="maximum total height")
     parser.add_argument(
@@ -36,12 +29,9 @@ def parse_args(argv=None) -> Config:
         help="how many generic non-adjacent witnesses to print",
     )
     args = parser.parse_args(argv)
-    return Config(height=args.height, witnesses=args.witnesses)
-
-
-def main(argv=None) -> int:
-    cfg = parse_args(argv)
-    rows = modification_census(cfg.height)
+    if args.witnesses < 0:
+        parser.error(f"--witnesses must be at least 0, got {args.witnesses}")
+    rows = modification_census(args.height)
     table = Counter()
     witnesses = []
     for row in rows:
@@ -65,7 +55,7 @@ def main(argv=None) -> int:
     print(f"\ntraces: {len(rows)}")
 
     print(f"generic verdicts from non-adjacent pairs: {len(witnesses)}")
-    for row in witnesses[: cfg.witnesses]:
+    for row in witnesses[: args.witnesses]:
         print(f"  {row.polygon}  pair {row.pair}")
     distant_generic = [w for w in witnesses if not w.renaming_adjacent()]
     print(f"generic verdicts beyond renaming-adjacency: {len(distant_generic)}")

@@ -14,57 +14,35 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from stratabound.boundary import verify_curtailment, verify_direct_sum, verify_duality
 from stratabound.newton import enumerate_polygons
 
 
-@dataclass(frozen=True)
-class Config:
-    direct_sum_height: int
-    two_segment_height: int
-    quiet: bool
+def reports(direct_sum_height: int, two_segment_height: int):
+    """Yield every verification report, in the order main prints them."""
+    for polygon in enumerate_polygons(direct_sum_height, min_z=2, max_z=3):
+        yield verify_direct_sum(polygon)
+    for polygon in enumerate_polygons(two_segment_height, min_z=2, max_z=2):
+        if 2 * polygon.segments[1].n >= polygon.segments[1].height:
+            yield verify_curtailment(polygon)
+        yield verify_duality(polygon)
 
 
-def parse_args(argv=None) -> Config:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--direct-sum-height", type=int, default=10)
     parser.add_argument("--two-segment-height", type=int, default=12)
     parser.add_argument("--quiet", action="store_true", help="print failures only")
     args = parser.parse_args(argv)
-    return Config(
-        direct_sum_height=args.direct_sum_height,
-        two_segment_height=args.two_segment_height,
-        quiet=args.quiet,
-    )
-
-
-def main(argv=None) -> int:
-    cfg = parse_args(argv)
-    failures = 0
-    checked = 0
-
-    def run(report):
-        nonlocal failures, checked
+    checked = failures = 0
+    for report in reports(args.direct_sum_height, args.two_segment_height):
         checked += 1
         if not report.ok:
             failures += 1
             print(f"FAIL {report.kind} {report.polygon}: {report.witness}")
-        elif not cfg.quiet:
+        elif not args.quiet:
             print(f"ok   {report.kind} {report.polygon}")
-
-    for polygon in enumerate_polygons(cfg.direct_sum_height):
-        if polygon.z in (2, 3):
-            run(verify_direct_sum(polygon))
-
-    for polygon in enumerate_polygons(cfg.two_segment_height):
-        if polygon.z != 2:
-            continue
-        if 2 * polygon.segments[1].n >= polygon.segments[1].height:
-            run(verify_curtailment(polygon))
-        run(verify_duality(polygon))
-
     print(f"\n{checked} verifications, {failures} failures")
     return 0 if failures == 0 else 2
 

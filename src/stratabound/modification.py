@@ -38,7 +38,8 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import InternalCheckError, InvalidPair, PreconditionViolated
-from .sequences import ABS, Symbol, abs_to_json, length, render_ascii, to_binary_sequence, word_length
+from .newton import enumerate_polygons, parse_polygon
+from .sequences import ABS, Symbol, abs_to_json, length, minimal_abs, render_ascii, to_binary_sequence, word_length
 from .weyl import JWContext, Permutation, binary_to_jw, theta, x_element
 
 GENERIC = "Generic"
@@ -389,8 +390,6 @@ class CensusRow:
         Equal coprime segments form blocks of consecutive indices, and any
         permutation within a block is an automorphism of the sequence.
         """
-        from .newton import parse_polygon
-
         r, q = self.zero_segment, self.one_segment
         if r == q:
             return False
@@ -411,9 +410,6 @@ class CensusRow:
 
 def modification_census(max_height: int) -> list[CensusRow]:
     """Classify every valid pair of every polygon up to the height bound."""
-    from .newton import enumerate_polygons
-    from .sequences import minimal_abs
-
     rows = []
     for polygon in enumerate_polygons(max_height):
         S = minimal_abs(polygon)

@@ -25,6 +25,7 @@ from stratabound.boundary import (
 )
 from stratabound.modification import (
     GENERIC,
+    eligible_pairs,
     full_modification,
     modification_census,
     parse_pair,
@@ -187,8 +188,6 @@ def test_criterion_8_weyl_bridge():
     for poly in enumerate_polygons(8):
         S = minimal_abs(poly)
         ctx = JWContext.for_polygon(poly)
-        from stratabound.modification import eligible_pairs
-
         for pair in eligible_pairs(S):
             trace = full_modification(S, pair)
             if trace.verdict != GENERIC:

@@ -5,10 +5,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import runpy
+from pathlib import Path
 
 import pytest
 
 import golden
+import pin_boundary_types
 from reference import duality_map_by_conjugation
 from stratabound import boundary
 from stratabound.boundary import (
@@ -27,6 +30,9 @@ from stratabound.errors import DimensionMismatch, PreconditionViolated, Verifica
 from stratabound.modification import parse_pair
 from stratabound.newton import NewtonPolygon, Segment, dual, enumerate_polygons, parse_polygon
 from stratabound.sequences import abs_from_binary_sequence, length, minimal_abs
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def two_segment_polygons(max_height):
@@ -57,6 +63,23 @@ class TestBoundarySet:
         assert len(polygons) == 401
         for poly in polygons:
             assert boundary_set(poly).types() == boundary_set_oracle(poly).types(), str(poly)
+
+    def test_matches_pinned_answers_up_to_height_12(self):
+        pinned = pin_boundary_types.load()
+        assert (len(pinned), sum(map(len, pinned.values()))) == (2679, 6132)
+        computed = {
+            str(poly): pin_boundary_types.boundary_types(poly)
+            for poly in enumerate_polygons(pin_boundary_types.HEIGHT)
+        }
+        assert computed == pinned
+
+    def test_pinning_refuses_when_the_oracle_disagrees(self, monkeypatch, tmp_path, capsys):
+        disagreeing = boundary_set(parse_polygon(golden.POLYGON_12))
+        monkeypatch.setattr(pin_boundary_types, "boundary_set_oracle", lambda poly: disagreeing)
+        target = tmp_path / "pinned.json.gz"
+        assert pin_boundary_types.main(target) == 1
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == f"not writing {target}: the oracle disagrees on 0,1\n"
 
     def test_methods_are_labelled(self):
         poly = parse_polygon("1,2+1,1")
@@ -258,22 +281,13 @@ VERIFY_SUITE_DIGEST = "06d80976e07ab3b7af474103321264fd93f883890d1b080dbde5ef31f
 
 class TestReport:
     def test_verify_suite_reports_are_pinned(self):
+        reports = runpy.run_path(str(SCRIPTS / "verify_suite.py"))["reports"]
         digest = hashlib.sha256()
-        reports = 0
-
-        def feed(report):
-            nonlocal reports
-            reports += 1
+        count = 0
+        for report in reports(10, 12):
+            count += 1
             digest.update(json.dumps(report.to_json(), sort_keys=True).encode() + b"\n")
-
-        for poly in enumerate_polygons(10):
-            if poly.z in (2, 3):
-                feed(verify_direct_sum(poly))
-        for poly in two_segment_polygons(12):
-            if 2 * poly.segments[1].n >= poly.segments[1].height:
-                feed(verify_curtailment(poly))
-            feed(verify_duality(poly))
-        assert (reports, digest.hexdigest()) == (VERIFY_SUITE_REPORTS, VERIFY_SUITE_DIGEST)
+        assert (count, digest.hexdigest()) == (VERIFY_SUITE_REPORTS, VERIFY_SUITE_DIGEST)
 
     def test_json_schema(self):
         payload = verify_duality(parse_polygon("2,5+3,2")).to_json()

@@ -1,4 +1,8 @@
-"""Experiment scripts under scripts/: argument checks."""
+"""Experiment scripts under scripts/: each main at a small height, and argument checks.
+
+The oracle cross-check is ``stratabound sweep`` (tests/test_cli.py); the
+scripts' own outputs are checked here against the library calls they print.
+"""
 
 from __future__ import annotations
 
@@ -7,26 +11,67 @@ from pathlib import Path
 
 import pytest
 
+from stratabound.boundary import boundary_set
+from stratabound.modification import modification_census
+from stratabound.newton import enumerate_polygons
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def script_main(name):
-    return runpy.run_path(str(SCRIPTS / f"{name}.py"))["main"]
+def script(name):
+    return runpy.run_path(str(SCRIPTS / f"{name}.py"))
 
 
 class TestBoundaryCensus:
-    def test_budget_below_one_is_a_usage_error(self, capsys):
-        main = script_main("boundary_census")
+    def test_rows_and_histogram_at_height_5(self, capsys):
+        assert script("boundary_census")["main"](["--height", "5"]) == 0
+        out, err = capsys.readouterr()
+        rows, histogram = out.split("\n\n")
+        polygons = list(enumerate_polygons(5))
+        assert rows.splitlines() == [
+            f"{str(p):30s} |B| = {len(boundary_set(p).elements)}" for p in polygons
+        ]
+        lines = histogram.splitlines()
+        assert lines[0] == "size histogram (|B| -> #polygons):"
+        assert sum(int(line.split("->")[1]) for line in lines[1:]) == len(polygons)
+        assert err == ""
+
+    def test_oracle_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["--height", "4", "--oracle", "--budget", "0"])
+            script("boundary_census")["main"](["--height", "4", "--oracle"])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "the search budget must be at least 1 node, got 0" in err
+        assert "unrecognized arguments: --oracle" in err
 
-    def test_budget_exceeded_exits_3(self, capsys):
-        main = script_main("boundary_census")
-        assert main(["--height", "5", "--oracle", "--budget", "1"]) == 3
+
+class TestVerifySuite:
+    def test_quiet_prints_only_the_summary(self, capsys):
+        namespace = script("verify_suite")
+        checked = sum(1 for _ in namespace["reports"](6, 7))
+        assert checked > 0
+        argv = ["--direct-sum-height", "6", "--two-segment-height", "7", "--quiet"]
+        assert namespace["main"](argv) == 0
+        assert capsys.readouterr().out == f"\n{checked} verifications, 0 failures\n"
+
+
+class TestPairCensus:
+    def test_table_totals_count_every_trace(self, capsys):
+        assert script("pair_census")["main"](["--height", "6"]) == 0
+        out = capsys.readouterr().out
+        table = out.split("\n\n")[0].splitlines()
+        traces = len(modification_census(6))
+        assert sum(int(row.split()[-1]) for row in table[1:]) == traces
+        assert f"traces: {traces}\n" in out
+
+    def test_negative_witness_count_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            script("pair_census")["main"](["--height", "6", "--witnesses", "-1"])
+        assert exc.value.code == 2
         out, err = capsys.readouterr()
-        assert "Traceback" not in err
-        assert err.startswith("budget exceeded: the search visited more than 1 nodes for JWContext(h=")
+        assert out == ""
+        assert "--witnesses must be at least 0, got -1" in err
+
+    def test_zero_witnesses_prints_none(self, capsys):
+        assert script("pair_census")["main"](["--height", "6", "--witnesses", "0"]) == 0
+        assert "  pair " not in capsys.readouterr().out
