@@ -22,6 +22,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--height", type=int, default=6, help="maximum total height")
     args = parser.parse_args(argv)
+    if args.height < 0:
+        parser.error(f"--height must be at least 0, got {args.height}")
     sizes = Counter()
     for polygon in enumerate_polygons(args.height):
         n = len(boundary_set(polygon).elements)

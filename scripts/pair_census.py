@@ -29,6 +29,8 @@ def main(argv=None) -> int:
         help="how many generic non-adjacent witnesses to print",
     )
     args = parser.parse_args(argv)
+    if args.height < 0:
+        parser.error(f"--height must be at least 0, got {args.height}")
     if args.witnesses < 0:
         parser.error(f"--witnesses must be at least 0, got {args.witnesses}")
     rows = modification_census(args.height)
@@ -47,7 +49,7 @@ def main(argv=None) -> int:
 
     verdicts = sorted({v for v, _ in table})
     columns = ["adjacent", "renameable", "distant"]
-    width = max(len(v) for v in verdicts) + 2
+    width = max(map(len, ["verdict", *verdicts])) + 2
     print(f"{'verdict':{width}s}" + "".join(f"{c:>12s}" for c in columns) + f"{'total':>10s}")
     for verdict in verdicts:
         counts = [table[(verdict, c)] for c in columns]

@@ -35,6 +35,10 @@ def main(argv=None) -> int:
     parser.add_argument("--two-segment-height", type=int, default=12)
     parser.add_argument("--quiet", action="store_true", help="print failures only")
     args = parser.parse_args(argv)
+    heights = {"--direct-sum-height": args.direct_sum_height, "--two-segment-height": args.two_segment_height}
+    for flag, height in heights.items():
+        if height < 0:
+            parser.error(f"{flag} must be at least 0, got {height}")
     checked = failures = 0
     for report in reports(args.direct_sum_height, args.two_segment_height):
         checked += 1

@@ -12,6 +12,13 @@ Two reduction moves preserve the boundary structure studied here:
 ``phi`` composes the two moves until the polygon is separated, meaning
 lambda_z < 1/2 < lambda_1.
 
+Slopes are ``Fraction``s wherever they are returned or compared with 1/2,
+but building a polygon checks their order on integers alone: since every
+segment height is at least 1, n_a/h_a < n_b/h_b exactly when
+n_a*h_b < n_b*h_a.  ``Segment`` and ``NewtonPolygon`` compute their hash
+once, at construction, with the value the dataclass would generate, so
+a memo lookup keyed by a polygon reads the stored hash.
+
 >>> str(phi(parse_polygon("2,7+3,5"))[0])
 '2,5+3,2'
 >>> phi(parse_polygon("2,7+3,5"))[1]
@@ -20,7 +27,6 @@ lambda_z < 1/2 < lambda_1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +52,11 @@ class Segment:
             raise CoprimalityViolation(f"segment entries must be non-negative, got ({self.m}, {self.n})")
         if math.gcd(self.m, self.n) != 1:
             raise CoprimalityViolation(f"segment ({self.m}, {self.n}) is not coprime")
+        # The dataclass field-tuple hash, computed once; set and dict order depend on it.
+        object.__setattr__(self, "_hash", hash((self.m, self.n)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def height(self) -> int:
@@ -68,12 +79,17 @@ class NewtonPolygon:
     def __post_init__(self):
         if not self.segments:
             raise SlopeOrderViolation("a polygon needs at least one segment")
-        slopes = [s.slope for s in self.segments]
-        for i in range(len(slopes) - 1):
-            if slopes[i] < slopes[i + 1]:
-                raise SlopeOrderViolation(
-                    f"slopes must be non-increasing, got {slopes[i]} < {slopes[i + 1]} at position {i + 1}"
-                )
+        # n_a/h_a < n_b/h_b exactly when n_a*h_b < n_b*h_a, since heights are >= 1.
+        segments = self.segments
+        for i in range(1, len(segments)):
+            a, b = segments[i - 1], segments[i]
+            if a.n * (b.m + b.n) < b.n * (a.m + a.n):
+                raise SlopeOrderViolation(f"slopes must be non-increasing, got {a.slope} < {b.slope} at position {i}")
+        # The dataclass field-tuple hash, computed once, as for Segment.
+        object.__setattr__(self, "_hash", hash((segments,)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def z(self) -> int:
@@ -211,7 +227,7 @@ def phi(p: NewtonPolygon) -> tuple[NewtonPolygon, tuple[str, ...]]:
 
 
 def enumerate_polygons(max_height: int, min_z: int = 1, max_z: int | None = None):
-    """Yield every valid polygon with height <= max_height (and z in range).
+    """Iterate over every valid polygon with height <= max_height (and z in range).
 
     Polygons are determined by a slope-sorted multiset of coprime segments;
     equal slopes force equal segments, so enumeration by non-increasing slope
@@ -219,7 +235,13 @@ def enumerate_polygons(max_height: int, min_z: int = 1, max_z: int | None = None
 
     >>> sum(1 for _ in enumerate_polygons(3))
     14
+    >>> enumerate_polygons(-1)
+    Traceback (most recent call last):
+        ...
+    ValueError: max_height must be at least 0, got -1
     """
+    if max_height < 0:
+        raise ValueError(f"max_height must be at least 0, got {max_height}")
     coprime = [
         Segment(m, n)
         for m in range(max_height + 1)
@@ -228,6 +250,7 @@ def enumerate_polygons(max_height: int, min_z: int = 1, max_z: int | None = None
     ]
     # Fixed total order: slope descending, then height ascending.
     coprime.sort(key=lambda s: (-s.slope, s.height, s.m))
+    heights = [s.height for s in coprime]
 
     def extend(start: int, room: int, chosen: list[Segment]):
         if chosen and len(chosen) >= min_z and (max_z is None or len(chosen) <= max_z):
@@ -235,11 +258,10 @@ def enumerate_polygons(max_height: int, min_z: int = 1, max_z: int | None = None
         if max_z is not None and len(chosen) >= max_z:
             return
         for k in range(start, len(coprime)):
-            seg = coprime[k]
-            if seg.height > room:
+            if heights[k] > room:
                 continue
-            chosen.append(seg)
-            yield from extend(k, room - seg.height, chosen)
+            chosen.append(coprime[k])
+            yield from extend(k, room - heights[k], chosen)
             chosen.pop()
 
-    yield from extend(0, max_height, [])
+    return extend(0, max_height, [])

@@ -202,6 +202,12 @@ class TestSweepSubcommand:
         assert len(rows) == 9 and all(row.endswith("  ok") for row in rows)
         assert rows[0] == "0,1  |B|=0  ok"
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_negative_height_is_usage_error(self, capsys, json_flag):
+        code, out, err = run(capsys, "sweep", "--height", "-1", *json_flag)
+        assert code == 1 and out == ""
+        assert err == "usage error: max_height must be at least 0, got -1\n"
+
 
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self, capsys):

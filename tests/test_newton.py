@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -49,6 +51,30 @@ class TestValidation:
     def test_slope_order_enforced(self):
         with pytest.raises(SlopeOrderViolation):
             validate([(3, 2), (2, 5)])
+
+    def test_slope_rule_equals_fraction_rule(self):
+        # The check cross-multiplies; the rule it must equal compares Fractions.
+        coprime = [
+            (m, n) for m in range(13) for n in range(13 - m) if (m, n) != (0, 0) and math.gcd(m, n) == 1
+        ]
+        for a in coprime:
+            for b in coprime:
+                fa, fb = Fraction(a[1], sum(a)), Fraction(b[1], sum(b))
+                if fa >= fb:
+                    assert validate([a, b]).segments == (Segment(*a), Segment(*b))
+                else:
+                    message = f"slopes must be non-increasing, got {fa} < {fb} at position 1"
+                    with pytest.raises(SlopeOrderViolation) as exc:
+                        validate([a, b])
+                    assert str(exc.value) == message
+
+    def test_slope_order_message_is_pinned(self):
+        with pytest.raises(SlopeOrderViolation) as exc:
+            parse_polygon("1,1+1,2")
+        assert str(exc.value) == "slopes must be non-increasing, got 1/2 < 2/3 at position 1"
+        with pytest.raises(SlopeOrderViolation) as exc:
+            parse_polygon("0,1+1,1+0,1")
+        assert str(exc.value) == "slopes must be non-increasing, got 1/2 < 1 at position 2"
 
     def test_equal_slopes_allowed(self):
         p = validate([(1, 1), (1, 1)])
@@ -173,6 +199,42 @@ class TestEnumeration:
     def test_z_bounds_respected(self):
         for p in enumerate_polygons(8, min_z=2, max_z=2):
             assert p.z == 2
+
+    @pytest.mark.parametrize(
+        "args, count, digest",
+        [
+            ((12,), 2679, "76c235f49bdfd6885f4b24d4c0bfeed7"),
+            ((10, 2, 3), 334, "c1ca41d88de50ce79e39a4eb31cd7815"),
+            ((12, 2, 2), 247, "900dbb2ce6fcdfd7e56b269587bb7918"),
+        ],
+    )
+    def test_order_is_pinned(self, args, count, digest):
+        # Generated before the slope check became integer-only; the last two
+        # are the lists scripts/verify_suite.py walks.
+        polygons = list(enumerate_polygons(*args))
+        text = "\n".join(map(str, polygons))
+        assert len(polygons) == count
+        assert hashlib.blake2b(text.encode(), digest_size=16).hexdigest() == digest
+
+    def test_negative_height_rejected(self):
+        with pytest.raises(ValueError, match="max_height must be at least 0, got -1"):
+            enumerate_polygons(-1)
+        assert list(enumerate_polygons(0)) == []
+
+
+class TestHash:
+    def test_hashes_equal_the_dataclass_field_tuple_hash(self):
+        for p in enumerate_polygons(10):
+            assert hash(p) == hash((p.segments,))
+            for s in p.segments:
+                assert hash(s) == hash((s.m, s.n))
+
+    def test_equal_polygons_hash_equal(self):
+        for p in enumerate_polygons(10):
+            for q in (dual(dual(p)), parse_polygon(str(p))):
+                assert q == p and q is not p
+                assert hash(q) == hash(p)
+                assert len({p, q}) == 1
 
 
 class TestJson:

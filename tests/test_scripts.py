@@ -36,6 +36,14 @@ class TestBoundaryCensus:
         assert sum(int(line.split("->")[1]) for line in lines[1:]) == len(polygons)
         assert err == ""
 
+    def test_negative_height_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            script("boundary_census")["main"](["--height", "-1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--height must be at least 0, got -1" in err
+
     def test_oracle_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             script("boundary_census")["main"](["--height", "4", "--oracle"])
@@ -54,6 +62,21 @@ class TestVerifySuite:
         assert namespace["main"](argv) == 0
         assert capsys.readouterr().out == f"\n{checked} verifications, 0 failures\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--direct-sum-height", "-3", "--two-segment-height", "-1"], "--direct-sum-height must be at least 0, got -3"),
+            (["--two-segment-height", "-1"], "--two-segment-height must be at least 0, got -1"),
+        ],
+    )
+    def test_negative_height_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            script("verify_suite")["main"](argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
 
 class TestPairCensus:
     def test_table_totals_count_every_trace(self, capsys):
@@ -63,6 +86,25 @@ class TestPairCensus:
         traces = len(modification_census(6))
         assert sum(int(row.split()[-1]) for row in table[1:]) == traces
         assert f"traces: {traces}\n" in out
+
+    @pytest.mark.parametrize("height", ["0", "1"])
+    def test_heights_without_pairs_print_an_empty_table(self, capsys, height):
+        assert script("pair_census")["main"](["--height", height]) == 0
+        assert capsys.readouterr().out == (
+            "verdict      adjacent  renameable     distant     total\n"
+            "\n"
+            "traces: 0\n"
+            "generic verdicts from non-adjacent pairs: 0\n"
+            "generic verdicts beyond renaming-adjacency: 0\n"
+        )
+
+    def test_negative_height_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            script("pair_census")["main"](["--height", "-2"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--height must be at least 0, got -2" in err
 
     def test_negative_witness_count_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
