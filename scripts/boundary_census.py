@@ -4,6 +4,8 @@
 The oracle cross-check over the same polygons is ``stratabound sweep
 --height h``.
 
+Exit codes: 0 ok, 1 usage error.
+
 Example:
     python scripts/boundary_census.py --height 6
 """
@@ -18,8 +20,16 @@ from stratabound.boundary import boundary_set
 from stratabound.newton import enumerate_polygons
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as the ``stratabound`` command line's do."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)
     parser.add_argument("--height", type=int, default=6, help="maximum total height")
     args = parser.parse_args(argv)
     if args.height < 0:

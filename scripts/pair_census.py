@@ -6,6 +6,8 @@ appear exactly when the polygon repeats a segment, because swapping two equal
 segments is a symmetry of the whole cascade that changes the segment numbers
 of a pair without changing its verdict.
 
+Exit codes: 0 ok, 1 usage error.
+
 Example:
     python scripts/pair_census.py --height 8 --witnesses 5
 """
@@ -19,8 +21,16 @@ from collections import Counter
 from stratabound.modification import GENERIC, modification_census
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as the ``stratabound`` command line's do."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)
     parser.add_argument("--height", type=int, default=8, help="maximum total height")
     parser.add_argument(
         "--witnesses",

@@ -6,6 +6,9 @@ Covers the three report-producing checks:
   * curtailment identification for two-segment polygons with second slope >= 1/2,
   * duality for all two-segment polygons.
 
+Exit codes: 0 when every verification passes, 1 on a usage error, 2 when a
+verification fails.
+
 Example:
     python scripts/verify_suite.py --direct-sum-height 10 --two-segment-height 12
 """
@@ -19,6 +22,14 @@ from stratabound.boundary import verify_curtailment, verify_direct_sum, verify_d
 from stratabound.newton import enumerate_polygons
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as the ``stratabound`` command line's do."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def reports(direct_sum_height: int, two_segment_height: int):
     """Yield every verification report, in the order main prints them."""
     for polygon in enumerate_polygons(direct_sum_height, min_z=2, max_z=3):
@@ -30,7 +41,7 @@ def reports(direct_sum_height: int, two_segment_height: int):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)
     parser.add_argument("--direct-sum-height", type=int, default=10)
     parser.add_argument("--two-segment-height", type=int, default=12)
     parser.add_argument("--quiet", action="store_true", help="print failures only")

@@ -14,22 +14,27 @@ empties; the final sequence is the full modification.  Its verdict is Generic
 when the length drops by exactly one.
 
 Both phases run one loop on integers.  A symbol's id is its 0-based
-position in the small modification's order.  ``construction_a`` reads the
-id tables of pi, labels and segments straight off the source sequence with
-the two swapped positions exchanged, so no small-modification sequence is
-built, and the B-phase reuses them.  The phase state is an order of ids plus
-the inverse array of positions, which a move updates only over the range it
-shifted, and each stage is recorded as a plain ``(kind, index, order,
-marker, members)`` tuple of ids.  ``ModificationTrace.result_type`` reads
-the labels of the final order, which is all ``boundary_set`` needs; the
-small modification (``trace.small``), the ``Stage`` objects
-(``trace.stages``) and the result sequence (``trace.result``) are built
-only when a caller reads them, and a stage's marker, members and sequence
-only when those are read.
+position in the small modification's order.  The source sequence's id
+tables of pi, labels and segments (``sequences.id_tables``) are built once
+per sequence and kept with it; ``construction_a`` copies them and exchanges
+the two swapped positions, so no small-modification sequence is built, and
+the B-phase reuses the copies.  The phase state is an order of ids plus the
+inverse array of positions, which a move updates only over the range it
+shifted; the marker steps along pi from the swapped symbol, and each stage
+is recorded as a plain ``(kind, index, order, marker, members)`` tuple of
+ids.  ``ModificationTrace.result_type`` reads the labels of the final
+order, which is all ``boundary_set`` needs; the small modification
+(``trace.small``), the ``Stage`` objects (``trace.stages``) and the result
+sequence (``trace.result``) are built only when a caller reads them, and a
+stage's marker, members and sequence only when those are read.
 
 The never-empties verdict relies on the iteration being a deterministic map
-on (current order, stage index mod marker-orbit-length): once that key
-repeats with a non-empty set, the cascade provably cycles forever.
+on (current order, stage index n mod p), p the length of the marker's
+pi-orbit: once that key repeats with a non-empty set, the cascade provably
+cycles forever.  The phase keys its states by (current order, marker)
+instead, which is the same test: the marker of stage n is orbit[n mod p],
+the orbit's p ids are distinct, so n mod p and the marker determine each
+other.
 """
 
 from __future__ import annotations
@@ -39,7 +44,17 @@ from dataclasses import dataclass, field
 
 from .errors import InternalCheckError, InvalidPair, PreconditionViolated
 from .newton import enumerate_polygons, parse_polygon
-from .sequences import ABS, Symbol, abs_to_json, length, minimal_abs, render_ascii, to_binary_sequence, word_length
+from .sequences import (
+    ABS,
+    Symbol,
+    abs_to_json,
+    id_tables,
+    length,
+    minimal_abs,
+    render_ascii,
+    to_binary_sequence,
+    word_length,
+)
 from .weyl import JWContext, Permutation, binary_to_jw, theta, x_element
 
 GENERIC = "Generic"
@@ -118,10 +133,9 @@ class Stage:
     def sequence(self) -> ABS:
         if self._sequence is None:
             arrows = self.small.arrows
-            where = [0] * len(self.order)  # where[t] = 1-based position of id t in this order
-            for z, t in enumerate(self.order, start=1):
-                where[t] = z
-            self._sequence = ABS._reordered(self.small.order, self.order, [where[arrows[t] - 1] for t in self.order])
+            where = _inverse(self.order)  # where[t] = 0-based position of id t in this order
+            images = [where[arrows[t] - 1] + 1 for t in self.order]
+            self._sequence = ABS._reordered(self.small.order, self.order, images)
         return self._sequence
 
 
@@ -227,38 +241,47 @@ def _move(order: list[int], pos: list[int], sym: int, target: int, after: bool) 
         pos[order[z]] = z
 
 
+def _inverse(order) -> list[int]:
+    """Positions of the ids 0..h-1 in ``order``, a permutation of them: its inverse."""
+    return sorted(range(len(order)), key=order.__getitem__)
+
+
 def _phase(
-    kind: str, ids: tuple[list[int], list[int], list[int]], first: int, exclude: int | None, start: tuple[int, ...]
+    kind: str,
+    ids: tuple[list[int], list[int], list[int]],
+    first: int,
+    exclude: int | None,
+    start: tuple[int, ...] | None,
 ) -> tuple[list[tuple], bool]:
     """Run the A- or B-phase from the id order ``start``; ``first`` is the swapped symbol's id.
 
-    ``ids`` are the pi, label and segment tables of the small modification.
+    ``ids`` are the pi, label and segment tables of the small modification,
+    and ``start`` None stands for its own order 0..h-1 (the A-phase's).
     The A-phase drops members of segment ``exclude`` from every set after
     A_0.  Returns the phase's stages as ``(kind, n, order, marker, members)``
     tuples (stage n holds the order after the n-th move, the marker and the
-    n-th set) and whether its (order, n mod p) key repeated with a non-empty
+    n-th set) and whether its (order, marker) key repeated with a non-empty
     set, i.e. the phase never empties.
     """
     pi, label, segment = ids
     a_phase = kind == "A"
-    orbit = [first]
-    while pi[orbit[-1]] != first:
-        orbit.append(pi[orbit[-1]])
-    p = len(orbit)
-    order = list(start)
-    pos = [0] * len(order)
-    for z, t in enumerate(order):
-        pos[t] = z
+    if start is None:
+        order = list(range(len(pi)))
+        pos = list(range(len(pi)))
+    else:
+        order = list(start)
+        pos = _inverse(start)
     cap = len(order) ** 2
 
     stages = []
     seen = set()
     n = 0
+    marker = first
     skip = None  # A_0 takes no segment exclusion
     while True:
-        marker = orbit[n % p]
+        following = pi[marker]
         lab = label[marker]
-        bound = pos[orbit[(n + 1) % p]]
+        bound = pos[following]
         if a_phase:
             members = [
                 t for t in order[: pos[marker]]
@@ -271,35 +294,33 @@ def _phase(
         stages.append((kind, n, key, marker, tuple(members)))
         if not members:
             return stages, False
-        state = (key, n % p)
+        state = (key, marker)
         if state in seen:
             return stages, True
         seen.add(state)
         if len(stages) > cap:
             raise InternalCheckError(f"{kind}-phase exceeded the stage cap without a verdict")
         n += 1
-        _move(order, pos, orbit[n % p], pi[members[-1] if a_phase else members[0]], after=a_phase)
+        marker = following
+        _move(order, pos, marker, pi[members[-1] if a_phase else members[0]], after=a_phase)
 
 
 def construction_a(source: ABS, pair: SmallModPair) -> ModificationTrace:
     """Run the A-phase on the small modification of ``source`` by ``pair``.
 
     Returns a partial trace (b and the result still unset).  The id tables
-    come from ``source`` with the two swapped positions exchanged; no
-    sequence is built.  Records one stage per materialized sequence: stage n
+    are copies of ``source``'s cached ones with the two swapped positions
+    exchanged; no sequence is built.  Records one stage per materialized sequence: stage n
     holds S^(n), the marker alpha_n, and A_n computed in S^(n).  Ends with
     a = first empty index, or verdict NonGenericANeverEmpty when the
     iteration state repeats.
     """
     i, j = _swap_positions(source, pair)
-    pi = [z - 1 for z in source.arrows]
-    label = [t.label for t in source.order]
-    segment = [t.segment for t in source.order]
-    for table in (pi, label, segment):
+    ids = tuple([list(table) for table in id_tables(source)])
+    for table in ids:
         table[i], table[j] = table[j], table[i]
-    ids = (pi, label, segment)
     # the 0-symbol now sits at position j, so its id is j
-    stages, never_empty = _phase("A", ids, j, pair.one.segment, tuple(range(len(pi))))
+    stages, never_empty = _phase("A", ids, j, pair.one.segment, None)
     return ModificationTrace(
         source,
         pair,

@@ -97,10 +97,11 @@ class ABS:
     Both reject a repeated symbol.  The symbol-to-position dict behind
     ``position`` and ``in`` is built on the first such lookup (or kept from
     the repeated-symbol check), so a reordering that is never searched never
-    builds one.
+    builds one.  ``length`` and ``id_tables`` are likewise computed on first
+    use and kept in the ``_length`` and ``_ids`` slots.
     """
 
-    __slots__ = ("order", "arrows", "_pos", "_hash", "_length")
+    __slots__ = ("order", "arrows", "_pos", "_hash", "_length", "_ids")
 
     def __init__(self, order, pi):
         order = tuple(order)
@@ -140,6 +141,7 @@ class ABS:
         self._pos = pos
         self._hash = None
         self._length = None
+        self._ids = None
 
     def __len__(self):
         return len(self.order)
@@ -240,6 +242,23 @@ def length(S: ABS) -> int:
     if S._length is None:
         S._length = word_length(t.label for t in S.order)
     return S._length
+
+
+def id_tables(S: ABS) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """pi, labels and segments indexed by 0-based position: ``(arrows - 1, labels, segments)``.
+
+    Built once per sequence and kept with it, like ``length``.
+
+    >>> id_tables(minimal_abs_segment(1, 2))
+    ((2, 0, 1), (1, 0, 0), (1, 1, 1))
+    """
+    if S._ids is None:
+        S._ids = (
+            tuple([z - 1 for z in S.arrows]),
+            tuple([t.label for t in S.order]),
+            tuple([t.segment for t in S.order]),
+        )
+    return S._ids
 
 
 def word_length(word) -> int:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -32,11 +34,12 @@ from stratabound.modification import (
     specialization_to_weyl,
     trace_to_json,
 )
-from stratabound.newton import enumerate_polygons, parse_polygon
+from stratabound.newton import enumerate_polygons, parse_polygon, validate
 from stratabound.sequences import (
     ABS,
     Symbol,
     binary_expansion,
+    id_tables,
     is_admissible,
     length,
     minimal_abs,
@@ -186,35 +189,103 @@ class TestPhases:
         assert via_full == via_phases
 
 
+def assert_matches_reference(S, pair, where):
+    """The integer cascade against the positional ABS-based one (tests/reference.py), stage by stage.
+
+    Returns the integer cascade's trace.
+    """
+    got = full_modification(S, pair)
+    want = reference.full_modification(S, pair)
+    assert (got.a, got.b, got.verdict) == (want.a, want.b, want.verdict), where
+    # read before any stage or sequence is built
+    want_type = to_binary_sequence(want.result) if want.result is not None else None
+    assert got.result_type == want_type, where
+    assert got.small == want.small, where
+    assert len(got.stages) == len(want.stages), where
+    for mine, ref in zip(got.stages, want.stages):
+        assert (mine.kind, mine.index, mine.marker, mine.members) == (
+            ref.kind,
+            ref.index,
+            ref.marker,
+            ref.members,
+        ), where
+        assert mine.sequence.order == ref.sequence.order, where
+        assert mine.sequence == ref.sequence, where
+    assert got.result == want.result, where
+    return got
+
+
+def random_polygon(rng, min_height, max_height, max_segments):
+    """A polygon of 1..max_segments coprime segments with m, n <= 9, drawn until its height lies in range."""
+    while True:
+        segments = []
+        for _ in range(rng.randint(1, max_segments)):
+            m, n = rng.randint(0, 9), rng.randint(0, 9)
+            if math.gcd(m, n) == 1:
+                segments.append((m, n))
+        height = sum(m + n for m, n in segments)
+        if min_height <= height <= max_height:
+            # non-increasing slope n / (m + n); equal slopes are equal coprime segments
+            return validate(sorted(segments, key=lambda s: Fraction(s[1], s[0] + s[1]), reverse=True))
+
+
 class TestReferenceCascade:
     def test_agrees_with_positional_reference_exhaustively(self):
-        # The positional ABS-based cascade (tests/reference.py) against the integer
-        # one, on every eligible pair up to h = 9, stage by stage.
+        # Every eligible pair up to h = 9.
         traces = 0
         for poly in enumerate_polygons(9):
             S = minimal_abs(poly)
             for pair in eligible_pairs(S):
                 traces += 1
-                got = full_modification(S, pair)
-                want = reference.full_modification(S, pair)
-                where = (str(poly), pair.spec)
-                assert (got.a, got.b, got.verdict) == (want.a, want.b, want.verdict), where
-                # read before any stage or sequence is built
-                want_type = to_binary_sequence(want.result) if want.result is not None else None
-                assert got.result_type == want_type, where
-                assert got.small == want.small, where
-                assert len(got.stages) == len(want.stages), where
-                for mine, ref in zip(got.stages, want.stages):
-                    assert (mine.kind, mine.index, mine.marker, mine.members) == (
-                        ref.kind,
-                        ref.index,
-                        ref.marker,
-                        ref.members,
-                    ), where
-                    assert mine.sequence.order == ref.sequence.order, where
-                    assert mine.sequence == ref.sequence, where
-                assert got.result == want.result, where
+                assert_matches_reference(S, pair, (str(poly), pair.spec))
         assert traces == 4054
+
+    def test_agrees_with_positional_reference_on_taller_polygons(self):
+        # A seeded sample beyond the exhaustive range: one adjacent pair on each
+        # of 60 polygons of height 14-30 with up to four segments.
+        rng = random.Random(17)
+        heights, verdicts = Counter(), Counter()
+        sampled = 0
+        while sampled < 60:
+            poly = random_polygon(rng, 14, 30, 4)
+            S = minimal_abs(poly)
+            pairs = eligible_pairs(S, adjacent_only=True)
+            if not pairs:
+                continue
+            pair = rng.choice(pairs)
+            trace = assert_matches_reference(S, pair, (str(poly), pair.spec))
+            heights[poly.height] += 1
+            verdicts[trace.verdict] += 1
+            sampled += 1
+        assert min(heights) >= 14 and max(heights) <= 30
+        # the never-empty cycle key is reached too
+        assert set(verdicts) == {GENERIC, NONGENERIC_LENGTH_DROP, NONGENERIC_B_NEVER_EMPTY}, verdicts
+
+    def test_census_traces_are_pinned(self):
+        # Every trace at h <= 10, ids and all, as computed before the kernel
+        # read its tables off the source and followed the marker by pi.
+        digest = hashlib.blake2b(digest_size=16)
+        verdicts = Counter()
+        for poly in enumerate_polygons(10):
+            S = minimal_abs(poly)
+            for pair in eligible_pairs(S):
+                t = full_modification(S, pair)
+                verdicts[t.verdict] += 1
+                digest.update(f"{poly}|{pair.spec}|{t.a}|{t.b}|{t.verdict}|{t.id_stages!r}\n".encode())
+        assert verdicts == {GENERIC: 3961, NONGENERIC_LENGTH_DROP: 3668, NONGENERIC_B_NEVER_EMPTY: 1097}
+        assert digest.hexdigest() == "3c41a163aaa0b73b3df59cf30045f513"
+
+    def test_pairs_leave_the_source_tables_unchanged(self):
+        # Each pair copies the source's cached id tables before swapping two
+        # entries; the cache itself must stay the source's own.
+        S = minimal_abs(parse_polygon("2,7+3,5"))
+        source = ABS.from_arrows(S.order, S.arrows)
+        first, second = eligible_pairs(source)[:2]
+        traces = [full_modification(source, first), full_modification(source, second)]
+        assert id_tables(source) == id_tables(ABS.from_arrows(S.order, S.arrows))
+        for pair, trace in zip((first, second), traces):
+            fresh = full_modification(ABS.from_arrows(S.order, S.arrows), pair)
+            assert trace.id_stages == fresh.id_stages and trace.verdict == fresh.verdict
 
     def test_stage_views_equal_rebuilt_sequences(self):
         for spec in (golden.TRACE_12, golden.TRACE_17, golden.TRACE_20):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from stratabound.boundary import boundary_set
+from stratabound.boundary import Report, boundary_set
 from stratabound.modification import modification_census
 from stratabound.newton import enumerate_polygons
 
@@ -39,7 +39,7 @@ class TestBoundaryCensus:
     def test_negative_height_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             script("boundary_census")["main"](["--height", "-1"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert "--height must be at least 0, got -1" in err
@@ -47,7 +47,7 @@ class TestBoundaryCensus:
     def test_oracle_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             script("boundary_census")["main"](["--height", "4", "--oracle"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert "unrecognized arguments: --oracle" in err
@@ -72,10 +72,29 @@ class TestVerifySuite:
     def test_negative_height_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             script("verify_suite")["main"](argv)
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert message in err
+
+    def test_non_numeric_height_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            script("verify_suite")["main"](["--direct-sum-height", "x"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --direct-sum-height: invalid int value: 'x'" in err
+
+    def test_failed_verification_exits_2(self, capsys, monkeypatch):
+        main = script("verify_suite")["main"]
+        polygon = next(iter(enumerate_polygons(3, min_z=2, max_z=2)))
+        failed = Report(polygon, "duality", (), (), (), "failed", {"check": "injective"})
+        # main reads reports() from its own module globals
+        monkeypatch.setitem(main.__globals__, "reports", lambda *heights: iter([failed]))
+        assert main(["--quiet"]) == 2
+        out, err = capsys.readouterr()
+        assert out == f"FAIL duality {polygon}: {{'check': 'injective'}}\n\n1 verifications, 1 failures\n"
+        assert err == ""
 
 
 class TestPairCensus:
@@ -101,7 +120,7 @@ class TestPairCensus:
     def test_negative_height_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             script("pair_census")["main"](["--height", "-2"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert "--height must be at least 0, got -2" in err
@@ -109,7 +128,7 @@ class TestPairCensus:
     def test_negative_witness_count_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             script("pair_census")["main"](["--height", "6", "--witnesses", "-1"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert "--witnesses must be at least 0, got -1" in err
