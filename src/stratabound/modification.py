@@ -85,7 +85,7 @@ class SmallModPair:
         return self.spec
 
 
-_PAIR_RE = re.compile(r"^0:(\d+):(\d+),1:(\d+):(\d+)$")
+_PAIR_RE = re.compile(r"^0:([0-9]+):([0-9]+),1:([0-9]+):([0-9]+)$")
 
 
 def parse_pair(text: str) -> SmallModPair:

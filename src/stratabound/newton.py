@@ -133,7 +133,7 @@ def parse_polygon(text: str) -> NewtonPolygon:
     pairs = []
     for chunk in text.replace(" ", "").split("+"):
         parts = chunk.split(",")
-        if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
             raise ValueError(f"cannot parse segment {chunk!r}; expected 'm,n'")
         pairs.append((int(parts[0]), int(parts[1])))
     return validate(pairs)

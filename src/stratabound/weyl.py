@@ -43,8 +43,9 @@ with l(w') = l(w) - 1 by an orbit invariant, not by a search:
   entries exchanged: the cycle holding both splits, or the two cycles
   holding them join, and the other cycles keep their keys.
 
-The types of all C(h, c) representatives are tabulated once per (h, c), so a
-call types w x and its l(w) cocovers and looks each up.  Every "yes"
+A table built once per (h, c) maps each type to its one representative w'.
+A call types w x and its l(w) cocovers and looks up the cocovers only: by
+the lemma, no w' below w has the type of w x.  Every "yes"
 certifies itself in O(h): matching the cycles of w' x and v x builds u,
 which is checked to lie in W_J and to give u^{-1} w' theta(u) == v exactly;
 a failure raises ``InternalCheckError``.  The budget (``--budget``,
@@ -474,22 +475,21 @@ def _cycle_type(P: list[int], c: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _type_table(h: int, c: int) -> dict[tuple[tuple[int, int], ...], tuple[int, tuple[tuple[int, ...], ...]]]:
-    """Coloured cycle type of w x -> (length, the images of the representatives w of that type).
+def _type_table(h: int, c: int) -> dict[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """Coloured cycle type of w x -> the images of the one representative w of that type.
 
-    Representatives of one type lie in one W_J-orbit, so by the lemma (see
-    the module docstring) they share one length; a table that breaks this
-    raises ``InternalCheckError``.  Every type holds one representative at
-    h <= 14.
+    No two representatives share a type: the inverse extended Burrows-Wheeler
+    transform reads w's word back off it (Gessel-Reutenauer, JCTA 1993;
+    Mantaci-Restivo-Rosone-Sciortino, TCS 2007), as ``reference.word_of_type``
+    checks at h <= 12.  A second representative raises ``InternalCheckError``.
     """
-    table: dict = {}
+    table = {}
     for w in _jw_image_tuples(h, c):
-        length = word_length(0 if v > c else 1 for v in w)
-        entry = table.setdefault(_cycle_type(_times_x(w, c), c), (length, []))
-        if entry[0] != length:
-            raise InternalCheckError(f"{entry[1][0]} and {w} share a W_J-orbit but differ in length")
-        entry[1].append(w)
-    return {t: (length, tuple(ws)) for t, (length, ws) in table.items()}
+        t = _cycle_type(_times_x(w, c), c)
+        if t in table:
+            raise InternalCheckError(f"{table[t]} and {w} share a coloured cycle type (c={c})")
+        table[t] = w
+    return table
 
 
 def _certificate(wp: tuple[int, ...], v: tuple[int, ...], c: int) -> tuple[int, ...]:
@@ -522,7 +522,7 @@ def _certified_specializations(
 ) -> tuple[tuple[Permutation, tuple[int, ...], tuple[int, ...]], ...]:
     """``(w', v, u)`` for each representative w' one length below w that specializes to w.
 
-    v is w or a cocover of w with v x of w' x's coloured cycle type, and u
+    v is a cocover of w with v x of w' x's coloured cycle type, and u
     is the certificate: u^{-1} w' theta(u) == v <= w.  Sorted by w''s images.
     """
     h, c = ctx.h, ctx.c
@@ -541,17 +541,15 @@ def _certified_specializations(
     x_inv = _shuffle(h, c)[1]
     types = _cocover_types(P, c, [(x_inv[i], x_inv[j]) for i, j in inversions])
     found: dict[tuple[int, ...], tuple] = {}
-    # (1, 1) exchanges nothing: it stands for w itself
-    for (i, j), t in zip([(1, 1), *inversions], types):
-        entry = table.get(t)
-        if entry is None or entry[0] != below:
+    # types[0] is w x's own, which by the lemma no representative below w has
+    for (i, j), t in zip(inversions, types[1:]):
+        wp = table.get(t)
+        if wp is None or wp in found or word_length(0 if a > c else 1 for a in wp) != below:
             continue
         v = list(img)
         v[i - 1], v[j - 1] = v[j - 1], v[i - 1]
         v = tuple(v)
-        for wp in entry[1]:
-            if wp not in found:
-                found[wp] = (v, _certificate(wp, v, c))
+        found[wp] = (v, _certificate(wp, v, c))
     return tuple((Permutation(wp), *found[wp]) for wp in sorted(found))
 
 

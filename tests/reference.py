@@ -42,6 +42,9 @@
   kept if it is a representative one length below w.  The library matches
   coloured cycle types of w' x against those of w x and its cocovers
   instead.
+* The word of a representative read back off the coloured cycle type of
+  w x by the inverse extended Burrows-Wheeler transform, on strings.  It is
+  why the library's type table holds one representative per type.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
 from stratabound.errors import (
     ContextTooLarge,
@@ -488,3 +491,20 @@ def generic_specializations_by_transpositions(
                     found.add(wp)
     return tuple(sorted(found, key=lambda p: p.images))
 
+
+
+def word_of_type(t) -> tuple[int, ...]:
+    """The 0/1 word nu with type(w x) == t for w = binary_to_jw(nu), by the inverse extended BWT.
+
+    Each key (n, bits) of t is a cycle's colour word, top bit first.  The
+    rotations of every reversed cycle word are sorted in omega-order (u
+    before v when u + v < v + u, that is u^omega < v^omega), and the last
+    letters, read in that order, spell nu (Mantaci, Restivo, Rosone and
+    Sciortino, An extension of the Burrows-Wheeler transform, TCS 2007).
+    """
+    rotations = []
+    for n, bits in t:
+        word = format(bits, f"0{n}b")[::-1]
+        rotations.extend(word[i:] + word[:i] for i in range(n))
+    rotations.sort(key=cmp_to_key(lambda u, v: (u + v > v + u) - (u + v < v + u)))
+    return tuple(int(r[-1]) for r in rotations)

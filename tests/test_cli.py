@@ -237,6 +237,19 @@ class TestExitCodes:
         assert code == 1
         assert err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("abs", "1,\u0663"), "usage error: cannot parse segment '1,\u0663'"),  # Arabic-Indic three
+            (("abs", "1,\u00b2"), "usage error: cannot parse segment '1,\u00b2'"),  # superscript two
+            (("modify", "2,5+3,2", "--pair", "0:1:\u0663,1:2:1"), "error: cannot parse pair '0:1:\u0663,1:2:1'"),
+        ],
+    )
+    def test_non_ascii_digits_exit_1(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(message)
+
     def test_ascii_flag_is_gone(self, capsys):
         code, out, err = run(capsys, "abs", "2,5+3,2", "--ascii")
         assert code == 1 and out == ""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +30,8 @@ MODULES = [
 def test_doctests(module):
     result = doctest.testmod(module, verbose=False)
     assert result.failed == 0
+
+
+def test_readme_example():
+    result = doctest.testfile(str(Path(__file__).parent.parent / "README.md"), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0

@@ -96,6 +96,11 @@ class TestValidation:
             with pytest.raises(ValueError):
                 parse_polygon(text)
 
+    @pytest.mark.parametrize("text", ["1,\u0663", "1,\u00b2", "--1,2"])  # Arabic-Indic three, superscript two
+    def test_parse_accepts_ascii_digits_only(self, text):
+        with pytest.raises(ValueError, match=f"^cannot parse segment '{text}'; expected 'm,n'$"):
+            parse_polygon(text)
+
     def test_invariants_of_counts(self):
         p = parse_polygon("2,7+3,5")
         assert (p.height, p.dimension, p.codimension) == (17, 12, 5)

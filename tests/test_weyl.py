@@ -15,10 +15,12 @@ from reference import (
     generic_specializations_by_transpositions,
     parabolic_elements,
     specializes_bruteforce,
+    word_of_type,
 )
+from stratabound import weyl
 from stratabound.errors import ContextTooLarge, DimensionMismatch, InternalCheckError
 from stratabound.newton import enumerate_polygons, parse_polygon
-from stratabound.sequences import abs_from_binary_sequence, length, minimal_abs, to_binary_sequence
+from stratabound.sequences import abs_from_binary_sequence, length, minimal_abs, to_binary_sequence, word_length
 from stratabound.weyl import (
     DEFAULT_BUDGET,
     JWContext,
@@ -150,17 +152,17 @@ class TestRepresentatives:
                     assert coxeter_length(w) == cross
 
     def test_length_buckets_equal_coxeter_length_buckets(self):
-        # The oracle's type table gives each type the sequence length of its
-        # representatives' words; bucketing the table by that length must
-        # equal bucketing by Coxeter length, each bucket in jw_elements order.
+        # Bucketing the oracle's type table by the sequence length of each
+        # representative's word must equal bucketing by Coxeter length, each
+        # bucket in jw_elements order.
         for h in range(1, 10):
             for c in range(0, h + 1):
                 expected: dict[int, list[Permutation]] = {}
                 for w in jw_elements(JWContext(h=h, c=c)):
                     expected.setdefault(coxeter_length(w), []).append(w)
                 got: dict[int, list[Permutation]] = {}
-                for length, ws in _type_table(h, c).values():
-                    got.setdefault(length, []).extend(map(Permutation, ws))
+                for wp in _type_table(h, c).values():
+                    got.setdefault(word_length(0 if v > c else 1 for v in wp), []).append(Permutation(wp))
                 got = {length: tuple(sorted(ws, key=lambda w: w.images)) for length, ws in got.items()}
                 assert got == {length: tuple(ws) for length, ws in expected.items()}, (h, c)
 
@@ -450,10 +452,32 @@ class TestCycleTypeOracle:
             generic_specializations_oracle(Permutation((1, 2)), JWContext(h=3, c=1))
 
     def test_type_table_lengths_are_one_per_type(self):
-        # Every type holds one representative (checked at h <= 10); the table
-        # would raise if two of one type differed in length.
+        # Every type holds one representative (checked at h <= 10): the table
+        # has C(h, c) entries, each keyed by its representative's own type.
         for h in range(1, 11):
             for c in range(0, h + 1):
                 table = _type_table(h, c)
-                assert sum(len(ws) for _, ws in table.values()) == math.comb(h, c)
-                assert all(len(ws) == 1 for _, ws in table.values()), (h, c)
+                assert len(table) == math.comb(h, c)
+                assert all(_cycle_type(_times_x(w, c), c) == t for t, w in table.items()), (h, c)
+
+    def test_type_table_refuses_a_shared_type(self, monkeypatch):
+        # A second representative of one type raises as the table is built.
+        monkeypatch.setattr(weyl, "_cycle_type", lambda P, c: ())
+        _type_table.cache_clear()
+        try:
+            with pytest.raises(InternalCheckError, match=r"\(1, 2, 3\) and \(1, 3, 2\) share a coloured cycle type"):
+                _type_table(3, 2)
+        finally:
+            _type_table.cache_clear()
+
+    def test_inverse_ebwt_recovers_every_word_h12(self):
+        # The word of w comes back from type(w x), so no two representatives
+        # share a type: every 0/1 word of length 1..12, every c.
+        checked = 0
+        for h in range(1, 13):
+            for nu in itertools.product((0, 1), repeat=h):
+                c = sum(nu)
+                w = binary_to_jw(nu, JWContext(h=h, c=c))
+                assert word_of_type(_cycle_type(_times_x(w.images, c), c)) == nu
+                checked += 1
+        assert checked == 2**13 - 2
