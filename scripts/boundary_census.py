@@ -17,6 +17,7 @@ import sys
 from collections import Counter
 
 from stratabound.boundary import boundary_set
+from stratabound.cli import ascii_int
 from stratabound.newton import enumerate_polygons
 
 
@@ -30,7 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 def main(argv=None) -> int:
     parser = _Parser(description=__doc__)
-    parser.add_argument("--height", type=int, default=6, help="maximum total height")
+    parser.add_argument("--height", type=ascii_int, default=6, help="maximum total height")
     args = parser.parse_args(argv)
     if args.height < 0:
         parser.error(f"--height must be at least 0, got {args.height}")

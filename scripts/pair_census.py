@@ -18,6 +18,7 @@ import argparse
 import sys
 from collections import Counter
 
+from stratabound.cli import ascii_int
 from stratabound.modification import GENERIC, modification_census
 
 
@@ -31,10 +32,10 @@ class _Parser(argparse.ArgumentParser):
 
 def main(argv=None) -> int:
     parser = _Parser(description=__doc__)
-    parser.add_argument("--height", type=int, default=8, help="maximum total height")
+    parser.add_argument("--height", type=ascii_int, default=8, help="maximum total height")
     parser.add_argument(
         "--witnesses",
-        type=int,
+        type=ascii_int,
         default=3,
         help="how many generic non-adjacent witnesses to print",
     )

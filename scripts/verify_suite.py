@@ -19,6 +19,7 @@ import argparse
 import sys
 
 from stratabound.boundary import verify_curtailment, verify_direct_sum, verify_duality
+from stratabound.cli import ascii_int
 from stratabound.newton import enumerate_polygons
 
 
@@ -42,8 +43,8 @@ def reports(direct_sum_height: int, two_segment_height: int):
 
 def main(argv=None) -> int:
     parser = _Parser(description=__doc__)
-    parser.add_argument("--direct-sum-height", type=int, default=10)
-    parser.add_argument("--two-segment-height", type=int, default=12)
+    parser.add_argument("--direct-sum-height", type=ascii_int, default=10)
+    parser.add_argument("--two-segment-height", type=ascii_int, default=12)
     parser.add_argument("--quiet", action="store_true", help="print failures only")
     args = parser.parse_args(argv)
     heights = {"--direct-sum-height": args.direct_sum_height, "--two-segment-height": args.two_segment_height}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from functools import lru_cache
 
@@ -39,6 +40,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+
+
+def ascii_int(text: str) -> int:
+    """An integer written as an optional ``-`` and ASCII digits: every numeric option's check.
+
+    ``int`` alone also reads other Unicode digits and ``_`` separators.
+
+    >>> ascii_int("-12")
+    -12
+    >>> ascii_int("1_0")
+    Traceback (most recent call last):
+        ...
+    argparse.ArgumentTypeError: invalid int value: '1_0'
+    """
+    if not _INTEGER_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _paren(p: NewtonPolygon) -> str:
     return "+".join(f"({s.m},{s.n})" for s in p.segments)
 
@@ -49,8 +70,8 @@ def _resolve_budget(args) -> int:
         env = os.environ.get("STRATABOUND_BUDGET")
         if env:
             try:
-                budget = int(env)
-            except ValueError:
+                budget = ascii_int(env)
+            except argparse.ArgumentTypeError:
                 raise ValueError(f"STRATABOUND_BUDGET must be an integer, got {env!r}") from None
     return resolve_budget(budget)
 
@@ -176,9 +197,9 @@ def _build_parser() -> _Parser:
     add_common(sp, _cmd_verify)
 
     sp = sub.add_parser("sweep", help="oracle-equivalence census up to a height bound")
-    sp.add_argument("--height", type=int, required=True, help="maximum total height")
+    sp.add_argument("--height", type=ascii_int, required=True, help="maximum total height")
     sp.add_argument(
-        "--budget", type=int, help="node budget override; caps the oracle's C(h, c) + l(w) + 1 nodes per polygon"
+        "--budget", type=ascii_int, help="node budget override; caps the oracle's C(h, c) + l(w) + 1 nodes per polygon"
     )
     add_common(sp, _cmd_sweep)
     return parser

@@ -23,10 +23,15 @@ inverse array of positions, which a move updates only over the range it
 shifted; the marker steps along pi from the swapped symbol, and each stage
 is recorded as a plain ``(kind, index, order, marker, members)`` tuple of
 ids.  ``ModificationTrace.result_type`` reads the labels of the final
-order, which is all ``boundary_set`` needs; the small modification
-(``trace.small``), the ``Stage`` objects (``trace.stages``) and the result
-sequence (``trace.result``) are built only when a caller reads them, and a
-stage's marker, members and sequence only when those are read.
+order, which is all ``boundary_set`` needs.  Every sequence a reader asks
+for is read straight off the ids, on first read and once: the trace keeps
+the small modification's symbols by id (the source's order with the two
+swapped positions exchanged) next to its pi table, and one helper,
+``_view``, turns them and an id order into an ``ABS``.  ``trace.result``
+is the view of the final order, built without any ``Stage``;
+``trace.stages`` holds a ``Stage`` per id tuple, whose marker, members and
+sequence read the same symbols and pi; ``trace.small`` is the view of the
+identity order.  No reader rebuilds the small modification.
 
 The never-empties verdict relies on the iteration being a deterministic map
 on (current order, stage index n mod p), p the length of the marker's
@@ -107,7 +112,8 @@ class Stage:
 
     Holds ids only (positions in the small modification's order): ``order``
     lists them, ``marker_id`` is the marker's and ``member_ids`` the members'
-    in sequence order.  ``marker`` and ``members`` are those ids read as
+    in sequence order.  ``symbols`` and ``pi`` are the trace's symbol and pi
+    tables by id.  ``marker`` and ``members`` are those ids read as
     ``Symbol``s, and ``sequence`` is the order as an ABS, built when first read.
     Stages compare and hash by value.
     """
@@ -117,36 +123,36 @@ class Stage:
     order: tuple[int, ...]
     marker_id: int
     member_ids: tuple[int, ...]
-    small: ABS = field(repr=False)
+    symbols: tuple[Symbol, ...] = field(repr=False)
+    pi: tuple[int, ...] = field(repr=False)
     _sequence: ABS | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def marker(self) -> Symbol:
-        return self.small.order[self.marker_id]
+        return self.symbols[self.marker_id]
 
     @property
     def members(self) -> tuple[Symbol, ...]:
-        syms = self.small.order
+        syms = self.symbols
         return tuple([syms[t] for t in self.member_ids])
 
     @property
     def sequence(self) -> ABS:
         if self._sequence is None:
-            arrows = self.small.arrows
-            where = _inverse(self.order)  # where[t] = 0-based position of id t in this order
-            images = [where[arrows[t] - 1] + 1 for t in self.order]
-            self._sequence = ABS._reordered(self.small.order, self.order, images)
+            self._sequence = _view(self.symbols, self.pi, self.order)
         return self._sequence
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class ModificationTrace:
-    """One pair's cascade, kept as ids; objects are built when first read.
+    """One pair's cascade, kept as ids; sequences are read off them when first read.
 
     ``a``, ``b`` and ``verdict`` are plain values, and ``result_type`` reads
-    the labels of the final id order.  ``small`` (the small modification),
-    ``stages`` (``Stage`` objects) and ``result`` (the last stage's
-    sequence once the B-phase emptied) are built on first read.  Traces
+    the labels of the final id order.  ``symbols`` (the small
+    modification's symbols by id), ``result`` (the final order's sequence
+    once the B-phase emptied), ``stages`` (``Stage`` objects) and ``small``
+    (the small modification) are each built on first read and kept;
+    ``result`` is ``stages[-1].sequence`` whichever is read first.  Traces
     compare and hash by value.
     """
 
@@ -159,27 +165,46 @@ class ModificationTrace:
     a: int | None
     b: int | None
     verdict: str | None
+    _symbols: tuple[Symbol, ...] | None = field(default=None, init=False, compare=False, repr=False)
     _small: ABS | None = field(default=None, init=False, compare=False, repr=False)
     _stages: tuple[Stage, ...] | None = field(default=None, init=False, compare=False, repr=False)
+    _result: ABS | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def symbols(self) -> tuple[Symbol, ...]:
+        """The small modification's symbols by id: the source's order with the swapped pair exchanged."""
+        if self._symbols is None:
+            i, j = self.swap
+            syms = list(self.source.order)
+            syms[i], syms[j] = syms[j], syms[i]
+            self._symbols = tuple(syms)
+        return self._symbols
 
     @property
     def small(self) -> ABS:
         """The small modification of ``source`` by ``pair``: the cascade's stage 0."""
         if self._small is None:
-            self._small = small_modification(self.source, self.pair)
+            self._small = _view(self.symbols, self.ids[0], range(len(self.source)))
         return self._small
 
     @property
     def stages(self) -> tuple[Stage, ...]:
         if self._stages is None:
-            small = self.small
-            self._stages = tuple([Stage(*stage, small) for stage in self.id_stages])
+            symbols, pi = self.symbols, tuple(self.ids[0])
+            stages = tuple([Stage(*stage, symbols, pi) for stage in self.id_stages])
+            stages[-1]._sequence = self._result
+            self._stages = stages
         return self._stages
 
     @property
     def result(self) -> ABS | None:
         """The full modification: the last stage's sequence once the B-phase emptied."""
-        return self.stages[-1].sequence if self.b is not None else None
+        if self._result is None and self.b is not None:
+            if self._stages is None:
+                self._result = _view(self.symbols, self.ids[0], self.id_stages[-1][2])
+            else:
+                self._result = self._stages[-1].sequence
+        return self._result
 
     @property
     def result_type(self) -> tuple[int, ...] | None:
@@ -200,6 +225,17 @@ class ModificationTrace:
 
     def b_sets(self) -> dict[int, frozenset[Symbol]]:
         return {s.index: frozenset(s.members) for s in self.stages if s.kind == "B"}
+
+
+def _view(symbols, pi, order) -> ABS:
+    """The sequence of the ids ``order`` over ``symbols[t]``, whose pi by id is ``pi``.
+
+    Id t sits at position where[t] of ``order``, so its arrow points at
+    where[pi[t]] + 1.  ``ABS._reordered`` checks that ``order`` permutes the ids
+    and the arrows the positions.
+    """
+    where = _inverse(order)  # where[t] = 0-based position of id t in this order
+    return ABS._reordered(symbols, order, [where[pi[t]] + 1 for t in order])
 
 
 def _swap_positions(S: ABS, pair: SmallModPair) -> tuple[int, int]:
@@ -456,7 +492,7 @@ def specialization_to_weyl(trace: ModificationTrace, ctx: JWContext) -> tuple[Pe
         raise PreconditionViolated(f"context degree {ctx.h} does not match |T(S)| = {len(S)}")
     w = binary_to_jw(to_binary_sequence(S), ctx)
     s = Permutation.transposition(ctx.h, S.position(trace.pair.zero), S.position(trace.pair.one))
-    eps = Permutation(tuple(trace.result.position(t) for t in trace.small.order))
+    eps = Permutation(tuple(trace.result.position(t) for t in trace.symbols))
     block = set(range(1, ctx.d + 1))
     if {eps(z) for z in block} != block:
         raise PreconditionViolated("reorder permutation does not preserve the block split")

@@ -17,7 +17,8 @@ but building a polygon checks their order on integers alone: since every
 segment height is at least 1, n_a/h_a < n_b/h_b exactly when
 n_a*h_b < n_b*h_a.  ``Segment`` and ``NewtonPolygon`` compute their hash
 once, at construction, with the value the dataclass would generate, so
-a memo lookup keyed by a polygon reads the stored hash.
+a memo lookup keyed by a polygon reads the stored hash.  A polygon's text
+(``str``) is likewise built once, on first use, and kept.
 
 >>> str(phi(parse_polygon("2,7+3,5"))[0])
 '2,5+3,2'
@@ -72,7 +73,11 @@ class Segment:
 
 @dataclass(frozen=True)
 class NewtonPolygon:
-    """An ordered sum of segments with non-increasing slopes."""
+    """An ordered sum of segments with non-increasing slopes.
+
+    The hash is computed at construction and the text on first ``str``;
+    both are kept with the polygon.
+    """
 
     segments: tuple[Segment, ...]
 
@@ -87,6 +92,11 @@ class NewtonPolygon:
                 raise SlopeOrderViolation(f"slopes must be non-increasing, got {a.slope} < {b.slope} at position {i}")
         # The dataclass field-tuple hash, computed once, as for Segment.
         object.__setattr__(self, "_hash", hash((segments,)))
+        # The text, built by the first str() and kept.  Not a field, so equality
+        # and repr do not see it.  Set here rather than through __dict__ (or
+        # functools.cached_property, which writes there): on CPython 3.11 reading
+        # an instance's __dict__ slows every later attribute read of it.
+        object.__setattr__(self, "_text", None)
 
     def __hash__(self):
         return self._hash
@@ -112,7 +122,9 @@ class NewtonPolygon:
         return self.segments[i - 1].slope
 
     def __str__(self):
-        return "+".join(str(s) for s in self.segments)
+        if self._text is None:
+            object.__setattr__(self, "_text", "+".join([f"{s.m},{s.n}" for s in self.segments]))
+        return self._text
 
 
 def validate(pairs) -> NewtonPolygon:

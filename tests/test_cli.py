@@ -195,6 +195,35 @@ class TestSweepSubcommand:
         assert code == 1 and out == ""
         assert err == "usage error: STRATABOUND_BUDGET must be an integer, got '1e6'\n"
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (("--height", "\u0663"), "--height", "\u0663"),  # Arabic-Indic three
+            (("--height", "1_0"), "--height", "1_0"),
+            (("--height", "+3"), "--height", "+3"),
+            (("--height", " 3"), "--height", " 3"),
+            (("--height", "3", "--budget", "\uff15"), "--budget", "\uff15"),  # fullwidth five
+            (("--height", "3", "--budget", "-\u0663"), "--budget", "-\u0663"),
+        ],
+    )
+    def test_numeric_options_take_ascii_digits_only(self, capsys, argv, flag, value):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 1 and out == ""
+        assert err == f"usage error: argument {flag}: invalid int value: {value!r}\n"
+
+    @pytest.mark.parametrize("value", ["\u0663", "\uff15", "1_0", "+5", "5 "])
+    def test_budget_env_takes_ascii_digits_only(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("STRATABOUND_BUDGET", value)
+        code, out, err = run(capsys, "sweep", "--height", "3")
+        assert code == 1 and out == ""
+        assert err == f"usage error: STRATABOUND_BUDGET must be an integer, got {value!r}\n"
+
+    def test_budget_env_negative_keeps_its_message(self, capsys, monkeypatch):
+        monkeypatch.setenv("STRATABOUND_BUDGET", "-3")
+        code, out, err = run(capsys, "sweep", "--height", "3")
+        assert code == 1 and out == ""
+        assert err == "usage error: the search budget must be at least 1 node, got -3\n"
+
     def test_rows_checked_before_the_budget_runs_out_are_printed(self, capsys):
         code, out, err = run(capsys, "sweep", "--height", "6", "--budget", "20")
         assert code == 3 and err.startswith("budget exceeded")

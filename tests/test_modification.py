@@ -12,7 +12,7 @@ import pytest
 
 import golden
 import reference
-from stratabound import boundary
+from stratabound import boundary, modification
 from reference import a_members_from_previous, b_members_from_previous, expansion_sorted_length_bound
 from stratabound.errors import ContextTooLarge, InternalCheckError, InvalidPair, PreconditionViolated
 from stratabound.modification import (
@@ -45,7 +45,15 @@ from stratabound.sequences import (
     minimal_abs,
     to_binary_sequence,
 )
-from stratabound.weyl import JWContext, Permutation, binary_to_jw, specializes
+from stratabound.weyl import (
+    JWContext,
+    Permutation,
+    binary_to_jw,
+    bruhat_leq,
+    coxeter_length,
+    specializes,
+    theta,
+)
 
 
 def make_trace(polygon: str, pair: str):
@@ -330,6 +338,55 @@ class TestReferenceCascade:
         assert len(bset.elements) == 6
         assert built == [minimal_abs(polygon).order]
 
+    def test_golden_stages_hash_by_value(self):
+        # Every stage hashes, and two fresh traces of one pair have equal stages with equal hashes.
+        for spec in (golden.TRACE_12, golden.TRACE_17, golden.TRACE_20):
+            first, second = (make_trace(spec["polygon"], spec["pair"]) for _ in range(2))
+            assert first.stages == second.stages
+            assert [hash(s) for s in first.stages] == [hash(s) for s in second.stages]
+            assert first == second and hash(first) == hash(second)
+
+    @pytest.mark.parametrize("result_first", [True, False], ids=["result-first", "stages-first"])
+    def test_result_is_the_last_stage_in_either_read_order(self, result_first):
+        # The result against a rebuild from scratch: the public small
+        # modification's symbols in the final id order, through the
+        # symbol-keyed constructor.
+        traces = results = 0
+        for poly in enumerate_polygons(9):
+            S = minimal_abs(poly)
+            for pair in eligible_pairs(S):
+                trace = full_modification(S, pair)
+                traces += 1
+                if result_first:
+                    result, stages = trace.result, trace.stages
+                else:
+                    stages, result = trace.stages, trace.result
+                assert result is trace.result and stages is trace.stages
+                if trace.b is None:
+                    assert result is None
+                    continue
+                results += 1
+                small = small_modification(S, pair)
+                assert trace.small == small
+                order = [small.order[t] for t in trace.id_stages[-1][2]]
+                assert result is stages[-1].sequence, (str(poly), pair.spec)
+                assert result == ABS(order, {t: small.pi(t) for t in small.order}), (str(poly), pair.spec)
+        assert traces == 4054 and 0 < results < traces
+
+    def test_trace_reads_never_build_the_small_modification(self, monkeypatch):
+        def refuse(S, pair):
+            raise AssertionError("a trace read rebuilt the small modification")
+
+        monkeypatch.setattr(modification, "small_modification", refuse)
+        stages = 0
+        for poly, pair, trace in all_traces(8):
+            trace.result
+            for stage in trace.stages:
+                stage.marker, stage.members, stage.sequence
+                stages += 1
+            trace.small
+        assert stages > 0
+
     def test_view_rejects_repeated_symbols(self):
         S = minimal_abs(parse_polygon("2,5+3,2"))
         with pytest.raises(ValueError):
@@ -568,6 +625,39 @@ class TestWeylBridge:
         assert specializes(w_prime, w, ctx)
         with pytest.raises(ContextTooLarge):
             specializes(w_prime, w, ctx, budget=ctx.h - 1)
+
+    @staticmethod
+    def assert_cocover(trace, ctx, w):
+        """v = u^-1 w' theta(u) is a Bruhat cocover of w, and w' represents the result type."""
+        w_prime, u, _ = specialization_to_weyl(trace, ctx)
+        v = u.inverse() * w_prime * theta(u, ctx)
+        where = (str(trace.source), trace.pair.spec)
+        assert bruhat_leq(v, w), where
+        assert coxeter_length(v) == coxeter_length(w) - 1, where
+        assert w_prime == binary_to_jw(trace.result_type, ctx), where
+
+    def test_every_generic_trace_gives_a_cocover(self):
+        # B inside the oracle from cascade code alone: every generic trace of
+        # every pair up to h = 10, not only the adjacent ones.
+        generic = 0
+        for poly in enumerate_polygons(10):
+            S = minimal_abs(poly)
+            ctx = JWContext.for_polygon(poly)
+            w = binary_to_jw(to_binary_sequence(S), ctx)
+            for pair in eligible_pairs(S):
+                trace = full_modification(S, pair)
+                if trace.verdict == GENERIC:
+                    self.assert_cocover(trace, ctx, w)
+                    generic += 1
+        assert generic == 3961
+
+    def test_golden_traces_give_cocovers(self):
+        # The 20-symbol trace drops the length by more than one and still passes.
+        for spec in (golden.TRACE_12, golden.TRACE_17, golden.TRACE_20):
+            poly = parse_polygon(spec["polygon"])
+            trace = make_trace(spec["polygon"], spec["pair"])
+            ctx = JWContext.for_polygon(poly)
+            self.assert_cocover(trace, ctx, binary_to_jw(to_binary_sequence(trace.source), ctx))
 
     def test_position_conjugation_identity(self):
         trace = make_trace(golden.POLYGON_12, golden.PAIR_12)

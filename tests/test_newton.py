@@ -242,6 +242,28 @@ class TestHash:
                 assert len({p, q}) == 1
 
 
+
+class TestText:
+    def test_text_is_kept_and_changes_nothing_else(self):
+        polygons = 0
+        for p in enumerate_polygons(10):
+            polygons += 1
+            assert hash(p) == hash((p.segments,))
+            text = str(p)
+            assert text == "+".join(f"{s.m},{s.n}" for s in p.segments)
+            assert str(p) is text
+            assert parse_polygon(text) == p
+            assert hash(p) == hash((p.segments,))
+            assert repr(p) == f"NewtonPolygon(segments={p.segments!r})"
+        assert polygons == 983
+
+    def test_text_is_not_part_of_equality(self):
+        p = parse_polygon("2,7+3,5")
+        q = parse_polygon("2,7+3,5")
+        str(p)
+        assert p == q and q == p and hash(p) == hash(q)
+
+
 class TestJson:
     @given(polygons())
     def test_round_trip(self, p):

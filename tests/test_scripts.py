@@ -22,6 +22,26 @@ def script(name):
     return runpy.run_path(str(SCRIPTS / f"{name}.py"))
 
 
+@pytest.mark.parametrize(
+    "name, flag",
+    [
+        ("boundary_census", "--height"),
+        ("pair_census", "--height"),
+        ("pair_census", "--witnesses"),
+        ("verify_suite", "--direct-sum-height"),
+        ("verify_suite", "--two-segment-height"),
+    ],
+)
+@pytest.mark.parametrize("value", ["\u0662", "\uff15", "1_0", "+2"])  # Arabic-Indic two, fullwidth five
+def test_numeric_options_take_ascii_digits_only(capsys, name, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        script(name)["main"]([flag, value])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: invalid int value: {value!r}" in err
+
+
 class TestBoundaryCensus:
     def test_rows_and_histogram_at_height_5(self, capsys):
         assert script("boundary_census")["main"](["--height", "5"]) == 0
