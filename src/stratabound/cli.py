@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from functools import lru_cache
 
@@ -26,7 +25,7 @@ from .boundary import (
 )
 from .errors import ContextTooLarge, InternalCheckError, StrataboundError
 from .modification import full_modification, parse_pair, render_trace_ascii, trace_to_json
-from .newton import NewtonPolygon, enumerate_polygons, parse_polygon, phi, polygon_to_json
+from .newton import NewtonPolygon, enumerate_polygons, parse_int, parse_polygon, phi, polygon_to_json
 from .sequences import abs_to_json, length, minimal_abs, render_ascii
 from .weyl import resolve_budget
 
@@ -40,24 +39,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_INTEGER_RE = re.compile(r"-?[0-9]+")
-
-
 def ascii_int(text: str) -> int:
-    """An integer written as an optional ``-`` and ASCII digits: every numeric option's check.
+    """``newton.parse_int`` as an argparse type: every numeric option's check.
 
-    ``int`` alone also reads other Unicode digits and ``_`` separators.
-
-    >>> ascii_int("-12")
-    -12
-    >>> ascii_int("1_0")
-    Traceback (most recent call last):
-        ...
-    argparse.ArgumentTypeError: invalid int value: '1_0'
+    argparse would name the function in its message; this keeps ``int``'s.
     """
-    if not _INTEGER_RE.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _paren(p: NewtonPolygon) -> str:
@@ -70,8 +60,8 @@ def _resolve_budget(args) -> int:
         env = os.environ.get("STRATABOUND_BUDGET")
         if env:
             try:
-                budget = ascii_int(env)
-            except argparse.ArgumentTypeError:
+                budget = parse_int(env)
+            except ValueError:
                 raise ValueError(f"STRATABOUND_BUDGET must be an integer, got {env!r}") from None
     return resolve_budget(budget)
 

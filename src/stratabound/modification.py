@@ -27,11 +27,11 @@ order, which is all ``boundary_set`` needs.  Every sequence a reader asks
 for is read straight off the ids, on first read and once: the trace keeps
 the small modification's symbols by id (the source's order with the two
 swapped positions exchanged) next to its pi table, and one helper,
-``_view``, turns them and an id order into an ``ABS``.  ``trace.result``
-is the view of the final order, built without any ``Stage``;
-``trace.stages`` holds a ``Stage`` per id tuple, whose marker, members and
-sequence read the same symbols and pi; ``trace.small`` is the view of the
-identity order.  No reader rebuilds the small modification.
+``_view``, turns them and an id order into an ``ABS``.  ``trace.stages``
+holds a ``Stage`` per id tuple, whose marker, members and sequence read
+the same symbols and pi, and ``trace.result`` is the last stage's
+sequence.  Only ``trace.small`` calls ``small_modification``, which swaps
+the same two entries of the source's order and arrows.
 
 The never-empties verdict relies on the iteration being a deterministic map
 on (current order, stage index n mod p), p the length of the marker's
@@ -149,11 +149,10 @@ class ModificationTrace:
 
     ``a``, ``b`` and ``verdict`` are plain values, and ``result_type`` reads
     the labels of the final id order.  ``symbols`` (the small
-    modification's symbols by id), ``result`` (the final order's sequence
-    once the B-phase emptied), ``stages`` (``Stage`` objects) and ``small``
-    (the small modification) are each built on first read and kept;
-    ``result`` is ``stages[-1].sequence`` whichever is read first.  Traces
-    compare and hash by value.
+    modification's symbols by id), ``stages`` (``Stage`` objects) and
+    ``small`` (the small modification) are each built on first read and
+    kept; ``result`` is the last stage's sequence once the B-phase emptied.
+    Traces compare and hash by value.
     """
 
     source: ABS
@@ -168,43 +167,32 @@ class ModificationTrace:
     _symbols: tuple[Symbol, ...] | None = field(default=None, init=False, compare=False, repr=False)
     _small: ABS | None = field(default=None, init=False, compare=False, repr=False)
     _stages: tuple[Stage, ...] | None = field(default=None, init=False, compare=False, repr=False)
-    _result: ABS | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def symbols(self) -> tuple[Symbol, ...]:
         """The small modification's symbols by id: the source's order with the swapped pair exchanged."""
         if self._symbols is None:
-            i, j = self.swap
-            syms = list(self.source.order)
-            syms[i], syms[j] = syms[j], syms[i]
-            self._symbols = tuple(syms)
+            self._symbols = tuple(_swapped(self.source.order, *self.swap))
         return self._symbols
 
     @property
     def small(self) -> ABS:
         """The small modification of ``source`` by ``pair``: the cascade's stage 0."""
         if self._small is None:
-            self._small = _view(self.symbols, self.ids[0], range(len(self.source)))
+            self._small = small_modification(self.source, self.pair)
         return self._small
 
     @property
     def stages(self) -> tuple[Stage, ...]:
         if self._stages is None:
             symbols, pi = self.symbols, tuple(self.ids[0])
-            stages = tuple([Stage(*stage, symbols, pi) for stage in self.id_stages])
-            stages[-1]._sequence = self._result
-            self._stages = stages
+            self._stages = tuple([Stage(*stage, symbols, pi) for stage in self.id_stages])
         return self._stages
 
     @property
     def result(self) -> ABS | None:
         """The full modification: the last stage's sequence once the B-phase emptied."""
-        if self._result is None and self.b is not None:
-            if self._stages is None:
-                self._result = _view(self.symbols, self.ids[0], self.id_stages[-1][2])
-            else:
-                self._result = self._stages[-1].sequence
-        return self._result
+        return self.stages[-1].sequence if self.b is not None else None
 
     @property
     def result_type(self) -> tuple[int, ...] | None:
@@ -247,18 +235,23 @@ def _swap_positions(S: ABS, pair: SmallModPair) -> tuple[int, int]:
     return i, j
 
 
+def _swapped(table, i: int, j: int) -> list:
+    """A copy of ``table`` with entries i and j exchanged."""
+    table = list(table)
+    table[i], table[j] = table[j], table[i]
+    return table
+
+
 def small_modification(S: ABS, pair: SmallModPair) -> ABS:
     """Swap the pair in the order and exchange the two symbols' pi-images.
 
     The new pi is sigma composed after pi, where sigma transposes the two
     symbols.  Because the swapped symbols sit at positions i and j, that is
-    entries i and j of both the order and the arrows trading places.
+    entries i and j of both the order and the arrows trading places, as in
+    the by-id tables the cascade runs on.
     """
     i, j = _swap_positions(S, pair)
-    ids, arrows = list(range(len(S))), list(S.arrows)
-    ids[i], ids[j] = j, i
-    arrows[i], arrows[j] = arrows[j], arrows[i]
-    return ABS._reordered(S.order, ids, arrows)
+    return ABS._reordered(_swapped(S.order, i, j), range(len(S)), _swapped(S.arrows, i, j))
 
 
 def _move(order: list[int], pos: list[int], sym: int, target: int, after: bool) -> None:

@@ -17,8 +17,7 @@ but building a polygon checks their order on integers alone: since every
 segment height is at least 1, n_a/h_a < n_b/h_b exactly when
 n_a*h_b < n_b*h_a.  ``Segment`` and ``NewtonPolygon`` compute their hash
 once, at construction, with the value the dataclass would generate, so
-a memo lookup keyed by a polygon reads the stored hash.  A polygon's text
-(``str``) is likewise built once, on first use, and kept.
+a memo lookup keyed by a polygon reads the stored hash.
 
 >>> str(phi(parse_polygon("2,7+3,5"))[0])
 '2,5+3,2'
@@ -73,11 +72,7 @@ class Segment:
 
 @dataclass(frozen=True)
 class NewtonPolygon:
-    """An ordered sum of segments with non-increasing slopes.
-
-    The hash is computed at construction and the text on first ``str``;
-    both are kept with the polygon.
-    """
+    """An ordered sum of segments with non-increasing slopes."""
 
     segments: tuple[Segment, ...]
 
@@ -92,11 +87,6 @@ class NewtonPolygon:
                 raise SlopeOrderViolation(f"slopes must be non-increasing, got {a.slope} < {b.slope} at position {i}")
         # The dataclass field-tuple hash, computed once, as for Segment.
         object.__setattr__(self, "_hash", hash((segments,)))
-        # The text, built by the first str() and kept.  Not a field, so equality
-        # and repr do not see it.  Set here rather than through __dict__ (or
-        # functools.cached_property, which writes there): on CPython 3.11 reading
-        # an instance's __dict__ slows every later attribute read of it.
-        object.__setattr__(self, "_text", None)
 
     def __hash__(self):
         return self._hash
@@ -122,9 +112,7 @@ class NewtonPolygon:
         return self.segments[i - 1].slope
 
     def __str__(self):
-        if self._text is None:
-            object.__setattr__(self, "_text", "+".join([f"{s.m},{s.n}" for s in self.segments]))
-        return self._text
+        return "+".join(str(s) for s in self.segments)
 
 
 def validate(pairs) -> NewtonPolygon:
@@ -144,11 +132,34 @@ def parse_polygon(text: str) -> NewtonPolygon:
     """
     pairs = []
     for chunk in text.replace(" ", "").split("+"):
-        parts = chunk.split(",")
-        if len(parts) != 2 or not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
-            raise ValueError(f"cannot parse segment {chunk!r}; expected 'm,n'")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            m, n = map(parse_int, chunk.split(","))
+        except ValueError:
+            raise ValueError(f"cannot parse segment {chunk!r}; expected 'm,n'") from None
+        pairs.append((m, n))
     return validate(pairs)
+
+
+def parse_int(text: str) -> int:
+    """An integer written as an optional ``-`` and ASCII digits.
+
+    ``int`` alone also reads other Unicode digits, ``_`` separators and
+    surrounding whitespace; those, and text too long for ``int``, raise
+    ``ValueError`` here.
+
+    >>> parse_int("-12")
+    -12
+    >>> parse_int("1_0")
+    Traceback (most recent call last):
+        ...
+    ValueError: invalid int value: '1_0'
+    """
+    if text.isascii() and text.removeprefix("-").isdigit():
+        try:
+            return int(text)
+        except ValueError:  # beyond the interpreter's digit limit
+            pass
+    raise ValueError(f"invalid int value: {text!r}")
 
 
 def polygon_to_json(p: NewtonPolygon) -> dict:

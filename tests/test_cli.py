@@ -204,6 +204,8 @@ class TestSweepSubcommand:
             (("--height", " 3"), "--height", " 3"),
             (("--height", "3", "--budget", "\uff15"), "--budget", "\uff15"),  # fullwidth five
             (("--height", "3", "--budget", "-\u0663"), "--budget", "-\u0663"),
+            pytest.param(("--height", "9" * 5000), "--height", "9" * 5000, id="height-5000-digits"),
+            pytest.param(("--height", "3", "--budget", "9" * 5000), "--budget", "9" * 5000, id="budget-5000-digits"),
         ],
     )
     def test_numeric_options_take_ascii_digits_only(self, capsys, argv, flag, value):
@@ -211,7 +213,9 @@ class TestSweepSubcommand:
         assert code == 1 and out == ""
         assert err == f"usage error: argument {flag}: invalid int value: {value!r}\n"
 
-    @pytest.mark.parametrize("value", ["\u0663", "\uff15", "1_0", "+5", "5 "])
+    @pytest.mark.parametrize(
+        "value", ["\u0663", "\uff15", "1_0", "+5", "5 ", pytest.param("9" * 5000, id="5000-digits")]
+    )
     def test_budget_env_takes_ascii_digits_only(self, capsys, monkeypatch, value):
         monkeypatch.setenv("STRATABOUND_BUDGET", value)
         code, out, err = run(capsys, "sweep", "--height", "3")

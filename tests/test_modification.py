@@ -348,9 +348,9 @@ class TestReferenceCascade:
 
     @pytest.mark.parametrize("result_first", [True, False], ids=["result-first", "stages-first"])
     def test_result_is_the_last_stage_in_either_read_order(self, result_first):
-        # The result against a rebuild from scratch: the public small
-        # modification's symbols in the final id order, through the
-        # symbol-keyed constructor.
+        # The result against a rebuild from scratch: the symbol-keyed
+        # reference small modification's symbols in the final id order,
+        # through the symbol-keyed constructor.
         traces = results = 0
         for poly in enumerate_polygons(9):
             S = minimal_abs(poly)
@@ -366,7 +366,7 @@ class TestReferenceCascade:
                     assert result is None
                     continue
                 results += 1
-                small = small_modification(S, pair)
+                small = reference.small_modification(S, pair)
                 assert trace.small == small
                 order = [small.order[t] for t in trace.id_stages[-1][2]]
                 assert result is stages[-1].sequence, (str(poly), pair.spec)
@@ -384,7 +384,6 @@ class TestReferenceCascade:
             for stage in trace.stages:
                 stage.marker, stage.members, stage.sequence
                 stages += 1
-            trace.small
         assert stages > 0
 
     def test_view_rejects_repeated_symbols(self):

@@ -27,6 +27,7 @@ from stratabound.newton import (
     dual,
     enumerate_polygons,
     is_separated,
+    parse_int,
     parse_polygon,
     phi,
     polygon_from_json,
@@ -100,6 +101,24 @@ class TestValidation:
     def test_parse_accepts_ascii_digits_only(self, text):
         with pytest.raises(ValueError, match=f"^cannot parse segment '{text}'; expected 'm,n'$"):
             parse_polygon(text)
+
+    def test_parse_refuses_integers_beyond_the_digit_limit(self):
+        # int() itself raises past 4300 digits; the segment message stays.
+        text = "1," + "9" * 5000
+        with pytest.raises(ValueError, match="^cannot parse segment '1,999"):
+            parse_polygon(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["\u0663", "\uff15", "1_0", "+3", " 3", "3 ", "-", "--3", "", pytest.param("9" * 5000, id="5000-digits")],
+    )
+    def test_parse_int_takes_ascii_digits_only(self, text):
+        with pytest.raises(ValueError, match="^invalid int value: "):
+            parse_int(text)
+
+    @pytest.mark.parametrize("text", ["0", "7", "-3", "0042", "-1" + "0" * 30])
+    def test_parse_int_reads_ascii_digits(self, text):
+        assert parse_int(text) == int(text)
 
     def test_invariants_of_counts(self):
         p = parse_polygon("2,7+3,5")
@@ -244,24 +263,17 @@ class TestHash:
 
 
 class TestText:
-    def test_text_is_kept_and_changes_nothing_else(self):
+    def test_text_round_trips_and_changes_nothing_else(self):
         polygons = 0
         for p in enumerate_polygons(10):
             polygons += 1
             assert hash(p) == hash((p.segments,))
             text = str(p)
             assert text == "+".join(f"{s.m},{s.n}" for s in p.segments)
-            assert str(p) is text
             assert parse_polygon(text) == p
             assert hash(p) == hash((p.segments,))
             assert repr(p) == f"NewtonPolygon(segments={p.segments!r})"
         assert polygons == 983
-
-    def test_text_is_not_part_of_equality(self):
-        p = parse_polygon("2,7+3,5")
-        q = parse_polygon("2,7+3,5")
-        str(p)
-        assert p == q and q == p and hash(p) == hash(q)
 
 
 class TestJson:

@@ -32,7 +32,10 @@ def script(name):
         ("verify_suite", "--two-segment-height"),
     ],
 )
-@pytest.mark.parametrize("value", ["\u0662", "\uff15", "1_0", "+2"])  # Arabic-Indic two, fullwidth five
+@pytest.mark.parametrize(
+    "value",
+    ["\u0662", "\uff15", "1_0", "+2", pytest.param("9" * 5000, id="5000-digits")],  # Arabic-Indic two, fullwidth five
+)
 def test_numeric_options_take_ascii_digits_only(capsys, name, flag, value):
     with pytest.raises(SystemExit) as exc:
         script(name)["main"]([flag, value])
