@@ -12,25 +12,16 @@ Example:
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections import Counter
 
 from stratabound.boundary import boundary_set
-from stratabound.cli import ascii_int
+from stratabound.cli import Parser, ascii_int
 from stratabound.newton import enumerate_polygons
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, as the ``stratabound`` command line's do."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def main(argv=None) -> int:
-    parser = _Parser(description=__doc__)
+    parser = Parser(description=__doc__)
     parser.add_argument("--height", type=ascii_int, default=6, help="maximum total height")
     args = parser.parse_args(argv)
     if args.height < 0:

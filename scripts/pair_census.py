@@ -14,24 +14,15 @@ Example:
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections import Counter
 
-from stratabound.cli import ascii_int
+from stratabound.cli import Parser, ascii_int
 from stratabound.modification import GENERIC, modification_census
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, as the ``stratabound`` command line's do."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def main(argv=None) -> int:
-    parser = _Parser(description=__doc__)
+    parser = Parser(description=__doc__)
     parser.add_argument("--height", type=ascii_int, default=8, help="maximum total height")
     parser.add_argument(
         "--witnesses",

@@ -15,20 +15,11 @@ Example:
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from stratabound.boundary import verify_curtailment, verify_direct_sum, verify_duality
-from stratabound.cli import ascii_int
+from stratabound.cli import Parser, ascii_int
 from stratabound.newton import enumerate_polygons
-
-
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, as the ``stratabound`` command line's do."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def reports(direct_sum_height: int, two_segment_height: int):
@@ -42,7 +33,7 @@ def reports(direct_sum_height: int, two_segment_height: int):
 
 
 def main(argv=None) -> int:
-    parser = _Parser(description=__doc__)
+    parser = Parser(description=__doc__)
     parser.add_argument("--direct-sum-height", type=ascii_int, default=10)
     parser.add_argument("--two-segment-height", type=ascii_int, default=12)
     parser.add_argument("--quiet", action="store_true", help="print failures only")

@@ -120,8 +120,8 @@ def boundary_set(polygon: NewtonPolygon) -> BoundarySet:
 def boundary_set_oracle(polygon: NewtonPolygon, budget: int | None = None) -> BoundarySet:
     """The same set through the specialization order on coset representatives.
 
-    The budget caps the oracle's nodes for this polygon, C(h, c) + l(w) + 1
-    (see ``weyl.generic_specializations_oracle``).
+    The budget caps the oracle's nodes for this polygon, 2 l(w) + 1 for the
+    minimal sequence's length l(w) (see ``weyl.generic_specializations_oracle``).
     """
     ctx = JWContext.for_polygon(polygon)
     w = binary_to_jw(to_binary_sequence(minimal_abs(polygon)), ctx)

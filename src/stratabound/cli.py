@@ -3,9 +3,8 @@
 Subcommands: abs, modify, boundary, phi, verify, sweep.  Polygons are given
 as ``m,n+m,n``; modification pairs as ``0:r:i,1:q:j``.  Exit codes: 0 ok,
 1 usage or domain error, 2 verification failure, 3 budget exceeded (the
-oracle needs C(h, c) + l(w) + 1 nodes for a polygon of height h and
-codimension c whose minimal sequence has length l(w), and ``--budget``
-allows fewer).
+oracle needs 2 l(w) + 1 nodes for a polygon whose minimal sequence has
+length l(w), and ``--budget`` allows fewer).
 """
 
 from __future__ import annotations
@@ -30,13 +29,11 @@ from .sequences import abs_to_json, length, minimal_abs, render_ascii
 from .weyl import resolve_budget
 
 
-class _UsageError(Exception):
-    pass
+class Parser(argparse.ArgumentParser):
+    """The parser of this command line and of the scripts: a usage error exits 1."""
 
-
-class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        self.exit(1, f"usage error: {message}\n")
 
 
 def ascii_int(text: str) -> int:
@@ -155,8 +152,8 @@ def _cmd_sweep(args) -> int:
 
 
 @lru_cache(maxsize=None)
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="stratabound", description=__doc__)
+def _build_parser() -> Parser:
+    parser = Parser(prog="stratabound", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, func):
@@ -189,7 +186,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("sweep", help="oracle-equivalence census up to a height bound")
     sp.add_argument("--height", type=ascii_int, required=True, help="maximum total height")
     sp.add_argument(
-        "--budget", type=ascii_int, help="node budget override; caps the oracle's C(h, c) + l(w) + 1 nodes per polygon"
+        "--budget", type=ascii_int, help="node budget override; caps the oracle's 2 l(w) + 1 nodes per polygon"
     )
     add_common(sp, _cmd_sweep)
     return parser
@@ -199,10 +196,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
+    except SystemExit as exc:  # --help, or a usage error
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)

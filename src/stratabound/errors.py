@@ -39,10 +39,10 @@ class ContextTooLarge(StrataboundError):
 
     The budget (``--budget``, ``STRATABOUND_BUDGET``) caps the nodes one
     call uses.  For the oracle (``weyl.generic_specializations_oracle``) a
-    call on w in context (h, c) needs C(h, c) + l(w) + 1 nodes: the typed
-    representatives of the context plus the permutations it types, checked
-    before any work.  For the pairwise reference search (``weyl.specializes``)
-    a node is one row choice tried.  |W_J| = c!·d! does not count.
+    call on w needs 2 l(w) + 1 nodes: the l(w) + 1 permutations it types
+    plus at most l(w) types it inverts, checked before any work.  For the
+    pairwise reference search (``weyl.specializes``) a node is one row
+    choice tried.  |W_J| = c!·d! does not count.
     """
 
 

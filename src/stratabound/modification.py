@@ -48,7 +48,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import InternalCheckError, InvalidPair, PreconditionViolated
-from .newton import enumerate_polygons, parse_polygon
+from .newton import enumerate_polygons, parse_int, parse_polygon
 from .sequences import (
     ABS,
     Symbol,
@@ -100,10 +100,14 @@ def parse_pair(text: str) -> SmallModPair:
     '0:1:4,1:2:2'
     """
     m = _PAIR_RE.match(text.replace(" ", ""))
-    if not m:
-        raise InvalidPair(f"cannot parse pair {text!r}; expected 0:r:i,1:q:j")
-    r, i, q, j = map(int, m.groups())
-    return SmallModPair(Symbol(r, i, 0), Symbol(q, j, 1))
+    if m:
+        try:
+            r, i, q, j = map(parse_int, m.groups())
+        except ValueError:  # beyond the interpreter's digit limit
+            pass
+        else:
+            return SmallModPair(Symbol(r, i, 0), Symbol(q, j, 1))
+    raise InvalidPair(f"cannot parse pair {text!r}; expected 0:r:i,1:q:j")
 
 
 @dataclass(slots=True, unsafe_hash=True)

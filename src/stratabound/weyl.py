@@ -43,15 +43,16 @@ with l(w') = l(w) - 1 by an orbit invariant, not by a search:
   entries exchanged: the cycle holding both splits, or the two cycles
   holding them join, and the other cycles keep their keys.
 
-A table built once per (h, c) maps each type to its one representative w'.
-A call types w x and its l(w) cocovers and looks up the cocovers only: by
-the lemma, no w' below w has the type of w x.  Every "yes"
-certifies itself in O(h): matching the cycles of w' x and v x builds u,
-which is checked to lie in W_J and to give u^{-1} w' theta(u) == v exactly;
-a failure raises ``InternalCheckError``.  The budget (``--budget``,
-``STRATABOUND_BUDGET``) caps the nodes one call uses: the C(h, c) typed
-representatives of its context plus the l(w) + 1 permutations it types.
-That count is fixed by (h, c) and w and is checked before any work.
+A call types w x and its l(w) cocovers; by the lemma, no w' below w has
+the type of w x.  A type has at most one representative, whose word the
+inverse extended Burrows-Wheeler transform reads off it (``_word_of_type``),
+so each distinct cocover type gives one candidate w', kept when it is one
+length below w and has that type.  Every "yes" certifies itself in O(h):
+matching the cycles of w' x and v x builds u, which is checked to lie in
+W_J and to give u^{-1} w' theta(u) == v exactly; a failure raises
+``InternalCheckError``.  The budget (``--budget``, ``STRATABOUND_BUDGET``)
+caps the nodes one call uses, checked before any work: the l(w) + 1
+permutations it types plus at most l(w) types it inverts, 2 l(w) + 1.
 
 ``specializes`` is the pairwise reference predicate, kept for the checks: a
 depth-first search builds u one row of u^{-1} w' theta(u) at a time and
@@ -69,7 +70,6 @@ criterion for Bruhat order).  Its budget caps the nodes one search visits.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -229,23 +229,15 @@ def is_jw(w: Permutation, ctx: JWContext) -> bool:
     return w.degree == ctx.h and _jw_images([1 if v <= c else 0 for v in w.images], c) == w.images
 
 
-def _jw_image_tuples(h: int, c: int) -> list[tuple[int, ...]]:
-    # The images of every representative, lexicographic.  One context checks
-    # (h, c); each word below has c ones by construction.
-    d = JWContext(h, c).d
-    out = []
-    for zero_positions in itertools.combinations(range(h), d):
-        nu = [1] * h
-        for z in zero_positions:
-            nu[z] = 0
-        out.append(_jw_images(nu, c))
-    out.sort()
-    return out
-
-
 def jw_elements(ctx: JWContext) -> tuple[Permutation, ...]:
     """All C(h, d) minimal representatives, lexicographic on images."""
-    return tuple(Permutation(images) for images in _jw_image_tuples(ctx.h, ctx.c))
+    out = []
+    for zero_positions in itertools.combinations(range(ctx.h), ctx.d):
+        nu = [1] * ctx.h
+        for z in zero_positions:
+            nu[z] = 0
+        out.append(_jw_images(nu, ctx.c))
+    return tuple(Permutation(images) for images in sorted(out))
 
 
 def x_element(ctx: JWContext) -> Permutation:
@@ -364,7 +356,6 @@ def _times_x(w: tuple[int, ...], c: int) -> list[int]:
     return [0, *w[d:], *w[:d]]
 
 
-@lru_cache(maxsize=None)
 def _shuffle(h: int, c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # x and x^{-1} as tuples with entry 0 unused
     d = h - c
@@ -474,22 +465,26 @@ def _cycle_type(P: list[int], c: int) -> tuple[tuple[int, int], ...]:
     return _cocover_types(P, c, ())[0]
 
 
-@lru_cache(maxsize=None)
-def _type_table(h: int, c: int) -> dict[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """Coloured cycle type of w x -> the images of the one representative w of that type.
+def _word_of_type(t: tuple[tuple[int, int], ...]) -> list[int]:
+    """The word nu of the one w = binary_to_jw(nu) with type(w x) == t, if some w has type t.
 
-    No two representatives share a type: the inverse extended Burrows-Wheeler
-    transform reads w's word back off it (Gessel-Reutenauer, JCTA 1993;
-    Mantaci-Restivo-Rosone-Sciortino, TCS 2007), as ``reference.word_of_type``
-    checks at h <= 12.  A second representative raises ``InternalCheckError``.
+    The inverse extended Burrows-Wheeler transform (Gessel-Reutenauer, JCTA
+    1993; Mantaci-Restivo-Rosone-Sciortino, TCS 2007): the rotations of every
+    reversed cycle word, sorted in omega-order, end in the letters of nu.  A
+    rotation r of period n is keyed by the first K bits of r^omega, K the sum
+    of the distinct periods (exact by Fine and Wilf), last letter in the low bit.
     """
-    table = {}
-    for w in _jw_image_tuples(h, c):
-        t = _cycle_type(_times_x(w, c), c)
-        if t in table:
-            raise InternalCheckError(f"{table[t]} and {w} share a coloured cycle type (c={c})")
-        table[t] = w
-    return table
+    width = sum({n for n, _ in t})
+    keys = []
+    for n, bits in t:
+        mask = (1 << n) - 1
+        r = int(f"{bits:0{n}b}"[::-1], 2)
+        double = r << n | r
+        for i in range(n):
+            rot = double >> i & mask
+            keys.append((rot << width) // mask << 1 | rot & 1)
+    keys.sort()
+    return [key & 1 for key in keys]
 
 
 def _certificate(wp: tuple[int, ...], v: tuple[int, ...], c: int) -> tuple[int, ...]:
@@ -532,25 +527,31 @@ def _certified_specializations(
     # w's inversions, all of them cocovers: a 0 at position i before a 1 at j
     inversions = [(i, j) for j in range(1, h + 1) if img[j - 1] <= c for i in range(1, j) if img[i - 1] > c]
     limit = resolve_budget(budget)
-    if math.comb(h, c) + len(inversions) + 1 > limit:
+    if 2 * len(inversions) + 1 > limit:
         raise ContextTooLarge(f"the search visited more than {limit} nodes for JWContext(h={h}, c={c})")
-    table = _type_table(h, c)
     below = len(inversions) - 1
     P = _times_x(img, c)
     # (w (i j)) x is w x with the entries at x^{-1}(i) and x^{-1}(j) exchanged
     x_inv = _shuffle(h, c)[1]
     types = _cocover_types(P, c, [(x_inv[i], x_inv[j]) for i, j in inversions])
-    found: dict[tuple[int, ...], tuple] = {}
-    # types[0] is w x's own, which by the lemma no representative below w has
-    for (i, j), t in zip(inversions, types[1:]):
-        wp = table.get(t)
-        if wp is None or wp in found or word_length(0 if a > c else 1 for a in wp) != below:
+    # types[0] is w x's own, which by the lemma no representative below w has;
+    # each other type is inverted once, for the first cocover that has it
+    first = {}
+    for inversion, t in zip(inversions, types[1:]):
+        first.setdefault(t, inversion)
+    found = []
+    for t, (i, j) in first.items():
+        nu = _word_of_type(t)
+        if word_length(nu) != below:
+            continue
+        wp = _jw_images(nu, c)
+        if _cycle_type(_times_x(wp, c), c) != t:
             continue
         v = list(img)
         v[i - 1], v[j - 1] = v[j - 1], v[i - 1]
         v = tuple(v)
-        found[wp] = (v, _certificate(wp, v, c))
-    return tuple((Permutation(wp), *found[wp]) for wp in sorted(found))
+        found.append((wp, v, _certificate(wp, v, c)))
+    return tuple((Permutation(wp), v, u) for wp, v, u in sorted(found))
 
 
 def generic_specializations_oracle(
@@ -559,9 +560,9 @@ def generic_specializations_oracle(
     """Representatives one length below w that specialize to w, in ``jw_elements`` order.
 
     Decided by coloured cycle types (see the module docstring), each "yes"
-    certified.  The budget caps the nodes the call uses: the C(h, c) typed
-    representatives of its context plus the l(w) + 1 permutations it types;
-    a call that needs more raises ``ContextTooLarge`` before any work.
+    certified.  The budget caps the nodes the call uses: the l(w) + 1
+    permutations it types plus at most l(w) types it inverts, 2 l(w) + 1 in
+    all; a call that needs more raises ``ContextTooLarge`` before any work.
 
     >>> ctx = JWContext(h=3, c=1)
     >>> [wp.images for wp in generic_specializations_oracle(Permutation((2, 3, 1)), ctx)]

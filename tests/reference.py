@@ -43,8 +43,12 @@
   coloured cycle types of w' x against those of w x and its cocovers
   instead.
 * The word of a representative read back off the coloured cycle type of
-  w x by the inverse extended Burrows-Wheeler transform, on strings.  It is
-  why the library's type table holds one representative per type.
+  w x by the inverse extended Burrows-Wheeler transform, on strings and a
+  comparison sort.  The library sorts integer keys instead.
+* A table from each coloured cycle type to its one representative, built by
+  typing all C(h, c) representatives of a context, and the generic
+  specializations looked up in it for each cocover's type.  The library
+  reads each cocover's one candidate off its type instead.
 """
 
 from __future__ import annotations
@@ -82,10 +86,13 @@ from stratabound.sequences import (
 from stratabound.weyl import (
     JWContext,
     Permutation,
+    _cycle_type,
     _dominance_leq,
+    _times_x,
     binary_to_jw,
     coxeter_length,
     is_jw,
+    jw_elements,
     jw_to_binary,
     resolve_budget,
     theta,
@@ -508,3 +515,40 @@ def word_of_type(t) -> tuple[int, ...]:
         rotations.extend(word[i:] + word[:i] for i in range(n))
     rotations.sort(key=cmp_to_key(lambda u, v: (u + v > v + u) - (u + v < v + u)))
     return tuple(int(r[-1]) for r in rotations)
+
+
+@lru_cache(maxsize=None)
+def type_table(h: int, c: int) -> dict[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """Coloured cycle type of w x -> the images of the one representative w of that type.
+
+    All C(h, c) representatives of the context are typed; a second
+    representative of one type raises ``InternalCheckError``.
+    """
+    table = {}
+    for rep in jw_elements(JWContext(h, c)):
+        w = rep.images
+        t = _cycle_type(_times_x(w, c), c)
+        if t in table:
+            raise InternalCheckError(f"{table[t]} and {w} share a coloured cycle type (c={c})")
+        table[t] = w
+    return table
+
+
+def generic_specializations_by_type_table(w: Permutation, ctx: JWContext) -> tuple[Permutation, ...]:
+    """Representatives one length below w with the type of some cocover v x, looked up in ``type_table``.
+
+    Each cocover v = w (i j) swaps a 0 at word position i before a 1 at j,
+    and v x is typed from scratch.
+    """
+    c, img = ctx.c, w.images
+    table = type_table(ctx.h, c)
+    below = coxeter_length(w) - 1
+    found = set()
+    for i, j in itertools.combinations(range(ctx.h), 2):
+        if img[i] > c >= img[j]:
+            v = list(img)
+            v[i], v[j] = v[j], v[i]
+            wp = table.get(_cycle_type(_times_x(v, c), c))
+            if wp is not None and coxeter_length(Permutation(wp)) == below:
+                found.add(wp)
+    return tuple(Permutation(wp) for wp in sorted(found))

@@ -5,7 +5,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
+import random
 import runpy
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,7 +31,7 @@ from stratabound.boundary import (
 )
 from stratabound.errors import DimensionMismatch, PreconditionViolated, VerificationFailure
 from stratabound.modification import parse_pair
-from stratabound.newton import NewtonPolygon, Segment, dual, enumerate_polygons, parse_polygon
+from stratabound.newton import NewtonPolygon, Segment, dual, enumerate_polygons, parse_polygon, validate
 from stratabound.sequences import abs_from_binary_sequence, length, minimal_abs
 
 
@@ -61,6 +64,23 @@ class TestBoundarySet:
     def test_matches_oracle_at_height_10(self):
         polygons = [p for p in enumerate_polygons(10) if p.height == 10]
         assert len(polygons) == 401
+        for poly in polygons:
+            assert boundary_set(poly).types() == boundary_set_oracle(poly).types(), str(poly)
+
+    def test_matches_oracle_on_random_polygons_of_height_20_to_60(self):
+        # At the default budget: the oracle's 2 l(w) + 1 nodes do not grow
+        # with C(h, c), which passes 10^6 from h = 23 on.
+        rng = random.Random(7)
+        polygons = []
+        while len(polygons) < 60:
+            segments = set()
+            for _ in range(rng.randint(2, 5)):
+                m, n = rng.randint(0, 12), rng.randint(0, 12)
+                if math.gcd(m, n) == 1:
+                    segments.add((m, n))
+            if 20 <= sum(m + n for m, n in segments) <= 60:
+                polygons.append(validate(sorted(segments, key=lambda s: Fraction(s[1], sum(s)), reverse=True)))
+        assert max(math.comb(p.height, p.codimension) for p in polygons) > 10**6
         for poly in polygons:
             assert boundary_set(poly).types() == boundary_set_oracle(poly).types(), str(poly)
 

@@ -229,7 +229,7 @@ class TestSweepSubcommand:
         assert err == "usage error: the search budget must be at least 1 node, got -3\n"
 
     def test_rows_checked_before_the_budget_runs_out_are_printed(self, capsys):
-        code, out, err = run(capsys, "sweep", "--height", "6", "--budget", "20")
+        code, out, err = run(capsys, "sweep", "--height", "6", "--budget", "12")
         assert code == 3 and err.startswith("budget exceeded")
         rows = out.splitlines()
         assert len(rows) == 9 and all(row.endswith("  ok") for row in rows)
@@ -252,7 +252,7 @@ class TestExitCodes:
         assert run(capsys, "--help")[0] == 0
         code, out, _ = run(capsys, "sweep", "--help")
         assert code == 0
-        assert "C(h, c) + l(w) + 1 nodes per polygon" in " ".join(out.split())
+        assert "2 l(w) + 1 nodes per polygon" in " ".join(out.split())
 
     @pytest.mark.parametrize(
         "argv",
@@ -276,6 +276,11 @@ class TestExitCodes:
             (("abs", "1,\u0663"), "usage error: cannot parse segment '1,\u0663'"),  # Arabic-Indic three
             (("abs", "1,\u00b2"), "usage error: cannot parse segment '1,\u00b2'"),  # superscript two
             (("modify", "2,5+3,2", "--pair", "0:1:\u0663,1:2:1"), "error: cannot parse pair '0:1:\u0663,1:2:1'"),
+            pytest.param(
+                ("modify", "2,5+3,2", "--pair", "0:1:" + "9" * 5000 + ",1:2:1"),
+                "error: cannot parse pair '0:1:" + "9" * 5000 + ",1:2:1'",
+                id="pair-5000-digits",
+            ),
         ],
     )
     def test_non_ascii_digits_exit_1(self, capsys, argv, message):

@@ -134,7 +134,17 @@ class TestPairs:
         assert pair.one == Symbol(2, 2, 1)
 
     @pytest.mark.parametrize(
-        "text", ["", "0:1:4", "1:2:2,0:1:4", "0:1:4,0:2:2", "0:a:4,1:2:2", "0:1:4;1:2:2", "0:1:\u0663,1:2:1"]
+        "text",
+        [
+            "",
+            "0:1:4",
+            "1:2:2,0:1:4",
+            "0:1:4,0:2:2",
+            "0:a:4,1:2:2",
+            "0:1:4;1:2:2",
+            "0:1:\u0663,1:2:1",
+            pytest.param("0:1:" + "9" * 5000 + ",1:2:1", id="5000-digits"),
+        ],
     )
     def test_parse_rejects(self, text):
         with pytest.raises(InvalidPair):

@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from reference import (
     bruhat_leq_by_covers,
     generic_specializations_by_transpositions,
+    generic_specializations_by_type_table,
     parabolic_elements,
     specializes_bruteforce,
+    type_table,
     word_of_type,
 )
-from stratabound import weyl
 from stratabound.errors import ContextTooLarge, DimensionMismatch, InternalCheckError
 from stratabound.newton import enumerate_polygons, parse_polygon
 from stratabound.sequences import abs_from_binary_sequence, length, minimal_abs, to_binary_sequence, word_length
@@ -30,8 +32,8 @@ from stratabound.weyl import (
     _cocover_types,
     _cycle_type,
     _times_x,
-    _type_table,
     _witness_exists,
+    _word_of_type,
     binary_to_jw,
     bruhat_leq,
     coxeter_length,
@@ -152,7 +154,7 @@ class TestRepresentatives:
                     assert coxeter_length(w) == cross
 
     def test_length_buckets_equal_coxeter_length_buckets(self):
-        # Bucketing the oracle's type table by the sequence length of each
+        # Bucketing the reference type table by the sequence length of each
         # representative's word must equal bucketing by Coxeter length, each
         # bucket in jw_elements order.
         for h in range(1, 10):
@@ -161,7 +163,7 @@ class TestRepresentatives:
                 for w in jw_elements(JWContext(h=h, c=c)):
                     expected.setdefault(coxeter_length(w), []).append(w)
                 got: dict[int, list[Permutation]] = {}
-                for wp in _type_table(h, c).values():
+                for wp in type_table(h, c).values():
                     got.setdefault(word_length(0 if v > c else 1 for v in wp), []).append(Permutation(wp))
                 got = {length: tuple(sorted(ws, key=lambda w: w.images)) for length, ws in got.items()}
                 assert got == {length: tuple(ws) for length, ws in expected.items()}, (h, c)
@@ -428,22 +430,29 @@ class TestCycleTypeOracle:
         assert checked == sum((h + 1) * math.factorial(h) for h in range(1, 8))
 
     def test_budget_is_the_nodes_one_call_needs(self):
-        # C(h, c) typed representatives plus the l(w) + 1 permutations typed:
-        # a budget of exactly that many nodes suffices, one less raises, and
-        # the count does not depend on whether the table is already built.
+        # The l(w) + 1 permutations typed plus at most l(w) types inverted:
+        # a budget of exactly 2 l(w) + 1 nodes suffices and one less raises.
         for spec in ("1,2+2,1", "2,5+3,2", "0,1+5,1+1,0"):
             poly = parse_polygon(spec)
             ctx = JWContext.for_polygon(poly)
             w = binary_to_jw(to_binary_sequence(minimal_abs(poly)), ctx)
-            nodes = math.comb(ctx.h, ctx.c) + coxeter_length(w) + 1
-            _type_table.cache_clear()
+            nodes = 2 * coxeter_length(w) + 1
+            expected = generic_specializations_oracle(w, ctx)
+            assert expected
             with pytest.raises(ContextTooLarge, match=f"more than {nodes - 1} nodes for JWContext"):
                 generic_specializations_oracle(w, ctx, budget=nodes - 1)
-            expected = generic_specializations_oracle(w, ctx, budget=nodes)
-            assert expected
-            with pytest.raises(ContextTooLarge):
-                generic_specializations_oracle(w, ctx, budget=nodes - 1)
             assert generic_specializations_oracle(w, ctx, budget=nodes) == expected
+
+    def test_oracle_equals_type_table_lookup_on_every_polygon_h10(self):
+        # The inversion finds exactly what a lookup in the reference table of
+        # all C(h, c) representatives finds, on every polygon's minimal word.
+        checked = 0
+        for poly in enumerate_polygons(10):
+            ctx = JWContext.for_polygon(poly)
+            w = binary_to_jw(to_binary_sequence(minimal_abs(poly)), ctx)
+            assert generic_specializations_oracle(w, ctx) == generic_specializations_by_type_table(w, ctx), str(poly)
+            checked += 1
+        assert checked == 983
 
     def test_oracle_rejects_a_non_representative(self):
         with pytest.raises(DimensionMismatch):
@@ -452,32 +461,36 @@ class TestCycleTypeOracle:
             generic_specializations_oracle(Permutation((1, 2)), JWContext(h=3, c=1))
 
     def test_type_table_lengths_are_one_per_type(self):
-        # Every type holds one representative (checked at h <= 10): the table
-        # has C(h, c) entries, each keyed by its representative's own type.
+        # Every type holds one representative (checked at h <= 10): the
+        # reference table has C(h, c) entries, each keyed by its
+        # representative's own type.
         for h in range(1, 11):
             for c in range(0, h + 1):
-                table = _type_table(h, c)
+                table = type_table(h, c)
                 assert len(table) == math.comb(h, c)
                 assert all(_cycle_type(_times_x(w, c), c) == t for t, w in table.items()), (h, c)
 
     def test_type_table_refuses_a_shared_type(self, monkeypatch):
         # A second representative of one type raises as the table is built.
-        monkeypatch.setattr(weyl, "_cycle_type", lambda P, c: ())
-        _type_table.cache_clear()
+        monkeypatch.setattr(reference, "_cycle_type", lambda P, c: ())
+        type_table.cache_clear()
         try:
             with pytest.raises(InternalCheckError, match=r"\(1, 2, 3\) and \(1, 3, 2\) share a coloured cycle type"):
-                _type_table(3, 2)
+                type_table(3, 2)
         finally:
-            _type_table.cache_clear()
+            type_table.cache_clear()
 
     def test_inverse_ebwt_recovers_every_word_h12(self):
         # The word of w comes back from type(w x), so no two representatives
-        # share a type: every 0/1 word of length 1..12, every c.
+        # share a type: every 0/1 word of length 1..12, every c.  The
+        # library's integer-keyed inversion reads back the same word.
         checked = 0
         for h in range(1, 13):
             for nu in itertools.product((0, 1), repeat=h):
                 c = sum(nu)
                 w = binary_to_jw(nu, JWContext(h=h, c=c))
-                assert word_of_type(_cycle_type(_times_x(w.images, c), c)) == nu
+                t = _cycle_type(_times_x(w.images, c), c)
+                assert word_of_type(t) == nu
+                assert tuple(_word_of_type(t)) == nu
                 checked += 1
         assert checked == 2**13 - 2
