@@ -20,18 +20,23 @@ per sequence and kept with it; ``construction_a`` copies them and exchanges
 the two swapped positions, so no small-modification sequence is built, and
 the B-phase reuses the copies.  The phase state is an order of ids plus the
 inverse array of positions, which a move updates only over the range it
-shifted; the marker steps along pi from the swapped symbol, and each stage
-is recorded as a plain ``(kind, index, order, marker, members)`` tuple of
-ids.  ``ModificationTrace.result_type`` reads the labels of the final
-order, which is all ``boundary_set`` needs.  Every sequence a reader asks
-for is read straight off the ids, on first read and once: the trace keeps
-the small modification's symbols by id (the source's order with the two
-swapped positions exchanged) next to its pi table, and one helper,
-``_view``, turns them and an id order into an ``ABS``.  ``trace.stages``
-holds a ``Stage`` per id tuple, whose marker, members and sequence read
-the same symbols and pi, and ``trace.result`` is the last stage's
-sequence.  Only ``trace.small`` calls ``small_modification``, which swaps
-the same two entries of the source's order and arrows.
+shifted; the marker steps along pi from the swapped symbol.  A stage's move
+is steered by one member of its set, the last in the A-phase and the first
+in the B-phase, which is the member nearest the marker, so the phase scans
+outward from the marker and stops at the first member it meets; it never
+builds a whole set.  Each stage is recorded as a plain ``(kind, index,
+order, marker, exclude)`` tuple of ids, ``exclude`` being the segment an
+A-stage after A_0 leaves out.  ``ModificationTrace.result_type`` reads the
+labels of the final order, which is all ``boundary_set`` needs.  Every
+sequence a reader asks for is read straight off the ids, on first read and
+once: the trace keeps the small modification's symbols by id (the source's
+order with the two swapped positions exchanged) next to its pi table, and
+one helper, ``_view``, turns them and an id order into an ``ABS``.
+``trace.stages`` holds a ``Stage`` per id tuple, whose marker and sequence
+read the same symbols and pi, and whose member set is read off its
+sequence, by the definition of A_n or B_n above, when first read;
+``trace.result`` is the last stage's sequence.  Only ``trace.small`` calls ``small_modification``, which
+swaps the same two entries of the source's order and arrows.
 
 The never-empties verdict relies on the iteration being a deterministic map
 on (current order, stage index n mod p), p the length of the marker's
@@ -112,28 +117,56 @@ def parse_pair(text: str) -> SmallModPair:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Stage:
-    """One cascade stage: the order after this stage's move, marker, members.
+    """One cascade stage: the order after this stage's move, its marker and its set.
 
     Holds ids only (positions in the small modification's order): ``order``
-    lists them, ``marker_id`` is the marker's and ``member_ids`` the members'
-    in sequence order.  ``symbols`` and ``pi`` are the trace's symbol and pi
-    tables by id.  ``marker`` and ``members`` are those ids read as
-    ``Symbol``s, and ``sequence`` is the order as an ABS, built when first read.
-    Stages compare and hash by value.
+    lists them, ``marker_id`` is the marker's, and ``exclude`` is the segment
+    an A-stage after A_0 leaves out of its set (None for A_0 and B-stages).
+    ``symbols`` and ``pi`` are the trace's symbol and pi tables by id.
+    ``sequence`` is the order as an ABS, built when first read.
+    ``member_ids`` are the set's ids in sequence order: the cascade only
+    looks for the member nearest the marker, so the whole set is read off
+    ``sequence`` (labels, segments and arrows against the marker's) on first
+    read and kept.  ``marker`` and ``members`` are those ids read as
+    ``Symbol``s.  Stages compare and hash by value.
     """
 
     kind: str  # "A" or "B"
     index: int
     order: tuple[int, ...]
     marker_id: int
-    member_ids: tuple[int, ...]
+    exclude: int | None
     symbols: tuple[Symbol, ...] = field(repr=False)
     pi: tuple[int, ...] = field(repr=False)
+    _member_ids: tuple[int, ...] | None = field(default=None, init=False, compare=False, repr=False)
     _sequence: ABS | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def marker(self) -> Symbol:
         return self.symbols[self.marker_id]
+
+    @property
+    def member_ids(self) -> tuple[int, ...]:
+        """The set's ids in sequence order, read off ``sequence`` as the module docstring defines A_n and B_n."""
+        if self._member_ids is None:
+            order = self.order
+            seq = self.sequence
+            syms, arrows = seq.order, seq.arrows
+            here = order.index(self.marker_id)
+            lab, bound = syms[here].label, arrows[here]
+            members = []
+            if self.kind == "A":
+                skip = self.exclude
+                for z in range(here):
+                    t = syms[z]
+                    if t.label == lab and arrows[z] > bound and t.segment != skip:
+                        members.append(order[z])
+            else:
+                for z in range(here + 1, len(order)):
+                    if syms[z].label == lab and arrows[z] < bound:
+                        members.append(order[z])
+            self._member_ids = tuple(members)
+        return self._member_ids
 
     @property
     def members(self) -> tuple[Symbol, ...]:
@@ -164,7 +197,7 @@ class ModificationTrace:
     swap: tuple[int, int]  # 0-based positions of the 0-symbol and the 1-symbol in source
     # pi, labels and segments of the small modification by id; follow from source and swap
     ids: tuple[list[int], list[int], list[int]] = field(compare=False, repr=False)
-    id_stages: tuple[tuple, ...]  # one (kind, index, order, marker, members) tuple per stage
+    id_stages: tuple[tuple, ...]  # one (kind, index, order, marker, exclude) tuple per stage
     a: int | None
     b: int | None
     verdict: str | None
@@ -291,10 +324,16 @@ def _phase(
     ``ids`` are the pi, label and segment tables of the small modification,
     and ``start`` None stands for its own order 0..h-1 (the A-phase's).
     The A-phase drops members of segment ``exclude`` from every set after
-    A_0.  Returns the phase's stages as ``(kind, n, order, marker, members)``
-    tuples (stage n holds the order after the n-th move, the marker and the
-    n-th set) and whether its (order, marker) key repeated with a non-empty
-    set, i.e. the phase never empties.
+    A_0.  Only the member that steers the move is looked for: the set's
+    last member in the A-phase, the first in the B-phase, so each stage
+    scans outward from the marker (backwards for A, forwards for B) and
+    stops at the first id that passes the set's test; none means the set is
+    empty.  Returns the phase's stages as ``(kind, n, order, marker,
+    exclude)`` tuples (stage n holds the order after the n-th move, the
+    marker and the segment its set leaves out, None for A_0 and the
+    B-phase), from which ``Stage.member_ids`` reads the n-th set when
+    asked, and whether its (order, marker) key repeated with a non-empty set,
+    i.e. the phase never empties.
     """
     pi, label, segment = ids
     a_phase = kind == "A"
@@ -304,7 +343,8 @@ def _phase(
     else:
         order = list(start)
         pos = _inverse(start)
-    cap = len(order) ** 2
+    h = len(order)
+    cap = h**2
 
     stages = []
     seen = set()
@@ -315,17 +355,23 @@ def _phase(
         following = pi[marker]
         lab = label[marker]
         bound = pos[following]
+        key = tuple(order)
+        stages.append((kind, n, key, marker, skip))
+        nearest = None
         if a_phase:
-            members = [
-                t for t in order[: pos[marker]]
-                if label[t] == lab and pos[pi[t]] > bound and segment[t] != skip
-            ]
+            for z in range(pos[marker] - 1, -1, -1):
+                t = order[z]
+                if label[t] == lab and pos[pi[t]] > bound and segment[t] != skip:
+                    nearest = t
+                    break
             skip = exclude
         else:
-            members = [t for t in order[pos[marker] + 1 :] if label[t] == lab and pos[pi[t]] < bound]
-        key = tuple(order)
-        stages.append((kind, n, key, marker, tuple(members)))
-        if not members:
+            for z in range(pos[marker] + 1, h):
+                t = order[z]
+                if label[t] == lab and pos[pi[t]] < bound:
+                    nearest = t
+                    break
+        if nearest is None:
             return stages, False
         state = (key, marker)
         if state in seen:
@@ -335,7 +381,7 @@ def _phase(
             raise InternalCheckError(f"{kind}-phase exceeded the stage cap without a verdict")
         n += 1
         marker = following
-        _move(order, pos, marker, pi[members[-1] if a_phase else members[0]], after=a_phase)
+        _move(order, pos, marker, pi[nearest], after=a_phase)
 
 
 def construction_a(source: ABS, pair: SmallModPair) -> ModificationTrace:
@@ -343,8 +389,9 @@ def construction_a(source: ABS, pair: SmallModPair) -> ModificationTrace:
 
     Returns a partial trace (b and the result still unset).  The id tables
     are copies of ``source``'s cached ones with the two swapped positions
-    exchanged; no sequence is built.  Records one stage per materialized sequence: stage n
-    holds S^(n), the marker alpha_n, and A_n computed in S^(n).  Ends with
+    exchanged; no sequence is built.  Records one stage per sequence: stage n
+    holds S^(n) as an id order and the marker alpha_n; A_n is computed in
+    S^(n) when the stage's members are read.  Ends with
     a = first empty index, or verdict NonGenericANeverEmpty when the
     iteration state repeats.
     """

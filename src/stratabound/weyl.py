@@ -487,20 +487,23 @@ def _word_of_type(t: tuple[tuple[int, int], ...]) -> list[int]:
     return [key & 1 for key in keys]
 
 
-def _certificate(wp: tuple[int, ...], v: tuple[int, ...], c: int) -> tuple[int, ...]:
+def _certificate(
+    wp: tuple[int, ...], cycles: list[tuple[tuple[int, int], int]], v: tuple[int, ...], c: int
+) -> tuple[int, ...]:
     """A u in W_J with u^{-1} wp theta(u) == v, found by matching the cycles of wp x and v x.
 
-    v x = u^{-1} (wp x) u means u carries each cycle of v x onto a cycle of
-    wp x with the same colour word.  u is built so from the two sorted
-    ``_keyed_cycles`` lists, then checked to lie in W_J and to satisfy
-    wp theta(u) == u v exactly.  Raises ``InternalCheckError`` otherwise,
-    for example when the two coloured cycle types differ.
+    ``cycles`` is ``_keyed_cycles`` of wp x, which the caller has already
+    walked.  v x = u^{-1} (wp x) u means u carries each cycle of v x onto a
+    cycle of wp x with the same colour word.  u is built so from the two
+    sorted ``_keyed_cycles`` lists, then checked to lie in W_J and to
+    satisfy wp theta(u) == u v exactly.  Raises ``InternalCheckError``
+    otherwise, for example when the two coloured cycle types differ.
     """
     h = len(wp)
     P, Q = _times_x(wp, c), _times_x(v, c)
     u = [0] * (h + 1)
     # both lists cover 1..h, so if the keys agree pair by pair, every cycle is matched
-    for (key, b), (v_key, a) in zip(_keyed_cycles(P, c), _keyed_cycles(Q, c)):
+    for (key, b), (v_key, a) in zip(cycles, _keyed_cycles(Q, c)):
         if key != v_key:
             raise InternalCheckError(f"{v} is not W_J-twisted conjugate to {wp} (c={c})")
         for _ in range(key[0]):
@@ -545,12 +548,14 @@ def _certified_specializations(
         if word_length(nu) != below:
             continue
         wp = _jw_images(nu, c)
-        if _cycle_type(_times_x(wp, c), c) != t:
+        # w' x's cycles, walked once: they re-type w' and then match v x's
+        cycles = _keyed_cycles(_times_x(wp, c), c)
+        if tuple([key for key, _ in cycles]) != t:
             continue
         v = list(img)
         v[i - 1], v[j - 1] = v[j - 1], v[i - 1]
         v = tuple(v)
-        found.append((wp, v, _certificate(wp, v, c)))
+        found.append((wp, v, _certificate(wp, cycles, v, c)))
     return tuple((Permutation(wp), v, u) for wp, v, u in sorted(found))
 
 

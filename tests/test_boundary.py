@@ -297,17 +297,29 @@ class TestFailureReports:
 # script's order, each as sorted-key JSON plus a newline.
 VERIFY_SUITE_REPORTS = 653
 VERIFY_SUITE_DIGEST = "06d80976e07ab3b7af474103321264fd93f883890d1b080dbde5ef31ffd4d386"
+# The same over a wider range: direct-sum h <= 13, curtailment and duality h <= 20.
+VERIFY_SUITE_WIDE_REPORTS = 2926
+VERIFY_SUITE_WIDE_DIGEST = "15ff26f3341837d002c3afb6ecc2169b0fa97c2f33f6db4a1229cf71e0e39739"
+
+
+def verify_suite_digest(direct_sum_height, two_segment_height):
+    """(reports, failures, SHA-256) of scripts/verify_suite.py's reports at these heights."""
+    reports = runpy.run_path(str(SCRIPTS / "verify_suite.py"))["reports"]
+    digest = hashlib.sha256()
+    count = failures = 0
+    for report in reports(direct_sum_height, two_segment_height):
+        count += 1
+        failures += not report.ok
+        digest.update(json.dumps(report.to_json(), sort_keys=True).encode() + b"\n")
+    return count, failures, digest.hexdigest()
 
 
 class TestReport:
     def test_verify_suite_reports_are_pinned(self):
-        reports = runpy.run_path(str(SCRIPTS / "verify_suite.py"))["reports"]
-        digest = hashlib.sha256()
-        count = 0
-        for report in reports(10, 12):
-            count += 1
-            digest.update(json.dumps(report.to_json(), sort_keys=True).encode() + b"\n")
-        assert (count, digest.hexdigest()) == (VERIFY_SUITE_REPORTS, VERIFY_SUITE_DIGEST)
+        assert verify_suite_digest(10, 12) == (VERIFY_SUITE_REPORTS, 0, VERIFY_SUITE_DIGEST)
+
+    def test_verify_suite_reports_are_pinned_on_a_wider_range(self):
+        assert verify_suite_digest(13, 20) == (VERIFY_SUITE_WIDE_REPORTS, 0, VERIFY_SUITE_WIDE_DIGEST)
 
     def test_json_schema(self):
         payload = verify_duality(parse_polygon("2,5+3,2")).to_json()

@@ -281,7 +281,9 @@ class TestReferenceCascade:
 
     def test_census_traces_are_pinned(self):
         # Every trace at h <= 10, ids and all, as computed before the kernel
-        # read its tables off the source and followed the marker by pi.
+        # read its tables off the source and followed the marker by pi, and
+        # while every stage still kept its whole member set: the sets read
+        # on demand hash the same as those the kernel once built.
         digest = hashlib.blake2b(digest_size=16)
         verdicts = Counter()
         for poly in enumerate_polygons(10):
@@ -289,7 +291,8 @@ class TestReferenceCascade:
             for pair in eligible_pairs(S):
                 t = full_modification(S, pair)
                 verdicts[t.verdict] += 1
-                digest.update(f"{poly}|{pair.spec}|{t.a}|{t.b}|{t.verdict}|{t.id_stages!r}\n".encode())
+                stages = tuple((s.kind, s.index, s.order, s.marker_id, s.member_ids) for s in t.stages)
+                digest.update(f"{poly}|{pair.spec}|{t.a}|{t.b}|{t.verdict}|{stages!r}\n".encode())
         assert verdicts == {GENERIC: 3961, NONGENERIC_LENGTH_DROP: 3668, NONGENERIC_B_NEVER_EMPTY: 1097}
         assert digest.hexdigest() == "3c41a163aaa0b73b3df59cf30045f513"
 
@@ -395,6 +398,21 @@ class TestReferenceCascade:
                 stage.marker, stage.members, stage.sequence
                 stages += 1
         assert stages > 0
+
+    def test_trace_reads_compute_no_member_set(self, monkeypatch):
+        # The cascade steers each stage by one member; the verdict, the
+        # result and the stage count never need a whole set.
+        def refuse(stage):
+            raise AssertionError("a trace read computed a stage's member set")
+
+        monkeypatch.setattr(modification.Stage, "member_ids", property(refuse))
+        stages = 0
+        for poly, pair, trace in all_traces(8):
+            trace.verdict, trace.result_type, trace.result
+            stages += len(trace.stages)
+        assert stages > 0
+        with pytest.raises(AssertionError, match="member set"):
+            trace.stages[0].members
 
     def test_view_rejects_repeated_symbols(self):
         S = minimal_abs(parse_polygon("2,5+3,2"))
@@ -541,6 +559,17 @@ class TestVerdicts:
                 hits += 1
                 assert expansion_sorted_length_bound(trace.small) < length(trace.source) - 1
         assert hits == 221
+
+    def test_no_a_phase_cycles_up_to_h11(self):
+        # Every 0-before-1 pair, not only adjacent ones: no A-phase repeats
+        # its state, in the integer kernel or in the positional reference.
+        traces = 0
+        for poly, pair, trace in all_traces(11):
+            traces += 1
+            small = reference.small_modification(trace.source, pair)
+            ref = reference.construction_a(small, pair, source=trace.source)
+            assert NONGENERIC_A_NEVER_EMPTY not in (trace.verdict, ref.verdict), (str(poly), pair.spec)
+        assert traces == 18030
 
     @pytest.mark.xfail(
         strict=True,

@@ -31,6 +31,7 @@ from stratabound.weyl import (
     _certified_specializations,
     _cocover_types,
     _cycle_type,
+    _keyed_cycles,
     _times_x,
     _witness_exists,
     _word_of_type,
@@ -409,8 +410,9 @@ class TestCycleTypeOracle:
         wp, v = (2, 3, 1), (3, 1, 2)
         assert _cycle_type(_times_x(wp, 1), 1) != _cycle_type(_times_x(v, 1), 1)
         with pytest.raises(InternalCheckError, match="not W_J-twisted conjugate"):
-            _certificate(wp, v, 1)
-        assert _certificate((1, 2, 3), (1, 2, 3), 1) == (1, 2, 3)
+            _certificate(wp, _keyed_cycles(_times_x(wp, 1), 1), v, 1)
+        e = (1, 2, 3)
+        assert _certificate(e, _keyed_cycles(_times_x(e, 1), 1), e, 1) == e
 
     def test_lemma_no_conjugate_is_shorter_h7(self):
         # l(u^{-1} w' theta(u)) >= l(w') for every w' in ^JW and u in W_J.
