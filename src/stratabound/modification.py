@@ -13,16 +13,20 @@ marker past a block of the order at every stage and tracking the sets
 empties; the final sequence is the full modification.  Its verdict is Generic
 when the length drops by exactly one.
 
-Both phases run one loop on integers.  A symbol's id is its 0-based
-position in the small modification's order.  The source sequence's id
-tables of pi, labels and segments (``sequences.id_tables``) are built once
-per sequence and kept with it; ``construction_a`` copies them and exchanges
-the two swapped positions, so no small-modification sequence is built, and
-the B-phase reuses the copies.  The phase state is an order of ids plus the
-inverse array of positions, which a move updates only over the range it
-shifted; the marker steps along pi from the swapped symbol.  A stage's move
-is steered by one member of its set, the last in the A-phase and the first
-in the B-phase, which is the member nearest the marker, so the phase scans
+Both phases run one loop, ``_phase``, on integers, and ``full_modification``
+runs them in one pass.  A symbol's id is its 0-based position in the small
+modification's order.  The source sequence's id tables of pi, labels and
+segments (``sequences.id_tables``) are built once per sequence and kept with
+it; each cascade copies them and exchanges the two swapped positions, so no
+small-modification sequence is built.  The phase state is an order of ids
+plus the inverse array of positions, two lists that a move updates in place,
+only over the range it shifted; the B-phase goes on from the lists the
+A-phase left, and the cascade builds one trace at the end.  The split API,
+``construction_a`` and then ``construction_b``, gives the same trace by way
+of a partial one, and ``construction_b`` rebuilds the two lists from the
+partial's last stage.  The marker steps along pi from the swapped symbol.
+A stage's move is steered by one member of its set, the last in the A-phase
+and the first in the B-phase, which is the member nearest the marker, so the phase scans
 outward from the marker and stops at the first member it meets; it never
 builds a whole set.  Each stage is recorded as a plain ``(kind, index,
 order, marker, exclude)`` tuple of ids, ``exclude`` being the segment an
@@ -309,7 +313,10 @@ def _move(order: list[int], pos: list[int], sym: int, target: int, after: bool) 
 
 def _inverse(order) -> list[int]:
     """Positions of the ids 0..h-1 in ``order``, a permutation of them: its inverse."""
-    return sorted(range(len(order)), key=order.__getitem__)
+    pos = [0] * len(order)
+    for z, t in enumerate(order):
+        pos[t] = z
+    return pos
 
 
 def _phase(
@@ -317,32 +324,27 @@ def _phase(
     ids: tuple[list[int], list[int], list[int]],
     first: int,
     exclude: int | None,
-    start: tuple[int, ...] | None,
+    order: list[int],
+    pos: list[int],
 ) -> tuple[list[tuple], bool]:
-    """Run the A- or B-phase from the id order ``start``; ``first`` is the swapped symbol's id.
+    """Run the A- or B-phase on the live id ``order`` and its inverse ``pos``; ``first`` is the swapped symbol's id.
 
-    ``ids`` are the pi, label and segment tables of the small modification,
-    and ``start`` None stands for its own order 0..h-1 (the A-phase's).
-    The A-phase drops members of segment ``exclude`` from every set after
-    A_0.  Only the member that steers the move is looked for: the set's
-    last member in the A-phase, the first in the B-phase, so each stage
-    scans outward from the marker (backwards for A, forwards for B) and
-    stops at the first id that passes the set's test; none means the set is
-    empty.  Returns the phase's stages as ``(kind, n, order, marker,
-    exclude)`` tuples (stage n holds the order after the n-th move, the
-    marker and the segment its set leaves out, None for A_0 and the
-    B-phase), from which ``Stage.member_ids`` reads the n-th set when
-    asked, and whether its (order, marker) key repeated with a non-empty set,
-    i.e. the phase never empties.
+    ``ids`` are the pi, label and segment tables of the small modification.
+    ``order`` and ``pos`` are advanced in place, so the B-phase starts from
+    the state the A-phase left them in.  The A-phase drops members of
+    segment ``exclude`` from every set after A_0.  Only the member that
+    steers the move is looked for: the set's last member in the A-phase, the
+    first in the B-phase, so each stage scans outward from the marker
+    (backwards for A, forwards for B) and stops at the first id that passes
+    the set's test; none means the set is empty.  Returns the phase's stages
+    as ``(kind, n, order, marker, exclude)`` tuples (stage n holds the order
+    after the n-th move, the marker and the segment its set leaves out, None
+    for A_0 and the B-phase), from which ``Stage.member_ids`` reads the n-th
+    set when asked, and whether its (order, marker) key repeated with a
+    non-empty set, i.e. the phase never empties.
     """
     pi, label, segment = ids
     a_phase = kind == "A"
-    if start is None:
-        order = list(range(len(pi)))
-        pos = list(range(len(pi)))
-    else:
-        order = list(start)
-        pos = _inverse(start)
     h = len(order)
     cap = h**2
 
@@ -384,27 +386,48 @@ def _phase(
         _move(order, pos, marker, pi[nearest], after=a_phase)
 
 
-def construction_a(source: ABS, pair: SmallModPair) -> ModificationTrace:
-    """Run the A-phase on the small modification of ``source`` by ``pair``.
+def _swapped_ids(source: ABS, pair: SmallModPair) -> tuple[tuple[int, int], tuple[list[int], list[int], list[int]]]:
+    """The swap positions and the small modification's pi, label and segment tables by id.
 
-    Returns a partial trace (b and the result still unset).  The id tables
-    are copies of ``source``'s cached ones with the two swapped positions
-    exchanged; no sequence is built.  Records one stage per sequence: stage n
-    holds S^(n) as an id order and the marker alpha_n; A_n is computed in
-    S^(n) when the stage's members are read.  Ends with
-    a = first empty index, or verdict NonGenericANeverEmpty when the
-    iteration state repeats.
+    The tables are copies of ``source``'s cached ones with the two swapped
+    positions exchanged; no sequence is built.
     """
     i, j = _swap_positions(source, pair)
     ids = tuple([list(table) for table in id_tables(source)])
     for table in ids:
         table[i], table[j] = table[j], table[i]
-    # the 0-symbol now sits at position j, so its id is j
-    stages, never_empty = _phase("A", ids, j, pair.one.segment, None)
+    return (i, j), ids
+
+
+def _b_outcome(source: ABS, label: list[int], stages: list[tuple], never_empty: bool) -> tuple[int | None, str]:
+    """``b`` and the verdict of a finished B-phase; the result's length is read off the last stage's labels."""
+    if never_empty:
+        return None, NONGENERIC_B_NEVER_EMPTY
+    before = length(source)
+    after = word_length([label[t] for t in stages[-1][2]])
+    if before - after < 1:
+        raise InternalCheckError(f"full modification raised the length ({before} -> {after})")
+    return stages[-1][1], GENERIC if before - after == 1 else NONGENERIC_LENGTH_DROP
+
+
+def construction_a(source: ABS, pair: SmallModPair) -> ModificationTrace:
+    """Run the A-phase on the small modification of ``source`` by ``pair``.
+
+    Returns a partial trace (b and the result still unset), from the same
+    table swap and A-phase that ``full_modification`` runs.  Records one
+    stage per sequence: stage n holds S^(n) as an id order and the marker
+    alpha_n; A_n is computed in S^(n) when the stage's members are read.
+    Ends with a = first empty index, or verdict NonGenericANeverEmpty when
+    the iteration state repeats.
+    """
+    swap, ids = _swapped_ids(source, pair)
+    order = list(range(len(source)))
+    # the 0-symbol now sits at position j = swap[1], so its id is j
+    stages, never_empty = _phase("A", ids, swap[1], pair.one.segment, order, order.copy())
     return ModificationTrace(
         source,
         pair,
-        (i, j),
+        swap,
         ids,
         tuple(stages),
         None if never_empty else stages[-1][1],
@@ -414,30 +437,29 @@ def construction_a(source: ABS, pair: SmallModPair) -> ModificationTrace:
 
 
 def construction_b(trace: ModificationTrace) -> ModificationTrace:
-    """Run the B-phase on a partial trace and classify the outcome."""
+    """Run the B-phase on a partial trace and classify the outcome.
+
+    The phase state is rebuilt from the partial's last stage: its id order
+    and that order's inverse.
+    """
     if trace.a is None:
         raise PreconditionViolated("B-phase needs a completed A-phase (a recorded)")
     if trace.b is not None or trace.verdict is not None:
         raise PreconditionViolated("trace already completed")
     ids = trace.ids
+    order = list(trace.id_stages[-1][2])
     # the 1-symbol now sits where the 0-symbol was
-    stages, never_empty = _phase("B", ids, trace.swap[0], None, trace.id_stages[-1][2])
-    b = None
-    if never_empty:
-        verdict = NONGENERIC_B_NEVER_EMPTY
-    else:
-        b = stages[-1][1]
-        before = length(trace.source)
-        label = ids[1]
-        after = word_length([label[t] for t in stages[-1][2]])
-        if before - after < 1:
-            raise InternalCheckError(f"full modification raised the length ({before} -> {after})")
-        verdict = GENERIC if before - after == 1 else NONGENERIC_LENGTH_DROP
+    stages, never_empty = _phase("B", ids, trace.swap[0], None, order, _inverse(order))
+    b, verdict = _b_outcome(trace.source, ids[1], stages, never_empty)
     return ModificationTrace(trace.source, trace.pair, trace.swap, ids, trace.id_stages + tuple(stages), trace.a, b, verdict)
 
 
 def full_modification(S: ABS, pair: SmallModPair) -> ModificationTrace:
-    """Small modification, then the A- and B-phases; classifies the verdict.
+    """Small modification, then the A- and B-phases in one pass; classifies the verdict.
+
+    Equal to ``construction_b(construction_a(S, pair))`` (or to the partial
+    trace when the A-phase never empties), but the B-phase runs on the
+    order and positions the A-phase left, and one trace is built.
 
     >>> from .newton import parse_polygon
     >>> from .sequences import minimal_abs
@@ -446,10 +468,17 @@ def full_modification(S: ABS, pair: SmallModPair) -> ModificationTrace:
     >>> trace.a, trace.b, trace.verdict, trace.result_type
     (1, 2, 'Generic', (1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0))
     """
-    partial = construction_a(S, pair)
-    if partial.verdict is not None:
-        return partial
-    return construction_b(partial)
+    swap, ids = _swapped_ids(S, pair)
+    order = list(range(len(S)))
+    pos = order.copy()
+    stages, never_empty = _phase("A", ids, swap[1], pair.one.segment, order, pos)
+    if never_empty:
+        return ModificationTrace(S, pair, swap, ids, tuple(stages), None, None, NONGENERIC_A_NEVER_EMPTY)
+    a = stages[-1][1]
+    b_stages, never_empty = _phase("B", ids, swap[0], None, order, pos)
+    b, verdict = _b_outcome(S, ids[1], b_stages, never_empty)
+    stages += b_stages
+    return ModificationTrace(S, pair, swap, ids, tuple(stages), a, b, verdict)
 
 
 def eligible_pairs(S: ABS, adjacent_only: bool = False) -> tuple[SmallModPair, ...]:

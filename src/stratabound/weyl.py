@@ -453,18 +453,6 @@ def _cocover_types(P: list[int], c: int, swaps) -> list[tuple[tuple[int, int], .
     return out
 
 
-def _cycle_type(P: list[int], c: int) -> tuple[tuple[int, int], ...]:
-    """The coloured cycle type of P: the sorted keys of its cycles.
-
-    Two permutations are conjugate by a u that keeps 1..c and c+1..h exactly
-    when their coloured cycle types are equal.
-
-    >>> _cycle_type([0, 2, 1, 3], 1)  # (1 2) and (3): words 10 and 0
-    ((1, 0), (2, 1))
-    """
-    return _cocover_types(P, c, ())[0]
-
-
 def _word_of_type(t: tuple[tuple[int, int], ...]) -> list[int]:
     """The word nu of the one w = binary_to_jw(nu) with type(w x) == t, if some w has type t.
 

@@ -42,6 +42,10 @@
   kept if it is a representative one length below w.  The library matches
   coloured cycle types of w' x against those of w x and its cocovers
   instead.
+* The coloured cycle type of a permutation by walking each cycle into a
+  string of colours and keeping its least rotation.  The library types
+  a permutation and its exchanges together, on integers
+  (``_cocover_types``).
 * The word of a representative read back off the coloured cycle type of
   w x by the inverse extended Burrows-Wheeler transform, on strings and a
   comparison sort.  The library sorts integer keys instead.
@@ -86,7 +90,6 @@ from stratabound.sequences import (
 from stratabound.weyl import (
     JWContext,
     Permutation,
-    _cycle_type,
     _dominance_leq,
     _times_x,
     binary_to_jw,
@@ -500,6 +503,30 @@ def generic_specializations_by_transpositions(
 
 
 
+def cycle_type(P, c: int) -> tuple[tuple[int, int], ...]:
+    """The coloured cycle type of P (``P[a]`` for a in 1..h; ``P[0]`` unused): its cycles' keys, sorted.
+
+    Each cycle is walked from its least element into a string with a 1 for
+    each element <= c; its key is (length, least rotation read as a binary
+    number).  Two permutations are conjugate by a u that keeps 1..c and
+    c+1..h exactly when their coloured cycle types are equal.
+    """
+    h = len(P) - 1
+    seen = [False] * (h + 1)
+    keys = []
+    for a in range(1, h + 1):
+        word = ""
+        b = a
+        while not seen[b]:
+            seen[b] = True
+            word += "1" if b <= c else "0"
+            b = P[b]
+        if word:
+            least = min(word[r:] + word[:r] for r in range(len(word)))
+            keys.append((len(word), int(least, 2)))
+    return tuple(sorted(keys))
+
+
 def word_of_type(t) -> tuple[int, ...]:
     """The 0/1 word nu with type(w x) == t for w = binary_to_jw(nu), by the inverse extended BWT.
 
@@ -527,7 +554,7 @@ def type_table(h: int, c: int) -> dict[tuple[tuple[int, int], ...], tuple[int, .
     table = {}
     for rep in jw_elements(JWContext(h, c)):
         w = rep.images
-        t = _cycle_type(_times_x(w, c), c)
+        t = cycle_type(_times_x(w, c), c)
         if t in table:
             raise InternalCheckError(f"{table[t]} and {w} share a coloured cycle type (c={c})")
         table[t] = w
@@ -548,7 +575,7 @@ def generic_specializations_by_type_table(w: Permutation, ctx: JWContext) -> tup
         if img[i] > c >= img[j]:
             v = list(img)
             v[i], v[j] = v[j], v[i]
-            wp = table.get(_cycle_type(_times_x(v, c), c))
+            wp = table.get(cycle_type(_times_x(v, c), c))
             if wp is not None and coxeter_length(Permutation(wp)) == below:
                 found.add(wp)
     return tuple(Permutation(wp) for wp in sorted(found))

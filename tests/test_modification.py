@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 from collections import Counter
@@ -22,6 +23,7 @@ from stratabound.modification import (
     NONGENERIC_LENGTH_DROP,
     CensusRow,
     SmallModPair,
+    _inverse,
     _move,
     construction_a,
     construction_b,
@@ -205,6 +207,58 @@ class TestPhases:
         assert partial.small == small_modification(S, pair)
         via_phases = construction_b(partial)
         assert via_full == via_phases
+
+    def test_one_pass_equals_split_phases_up_to_h10(self):
+        # full_modification runs the B-phase on the A-phase's live state; the
+        # split API rebuilds it from the partial's last stage.  Same traces,
+        # and the same phase stage totals the traced census counted.
+        kinds = Counter()
+        traces = 0
+        for poly in enumerate_polygons(10):
+            S = minimal_abs(poly)
+            for pair in eligible_pairs(S):
+                got = full_modification(S, pair)
+                partial = construction_a(S, pair)
+                want = partial if partial.verdict == NONGENERIC_A_NEVER_EMPTY else construction_b(partial)
+                assert got == want, (str(poly), pair.spec)
+                assert got.ids == want.ids, (str(poly), pair.spec)
+                kinds.update(stage[0] for stage in got.id_stages)
+                traces += 1
+        assert traces == 8726
+        assert kinds == {"A": 16108, "B": 23519}
+
+    def test_one_pass_builds_one_trace_and_no_inverse(self, monkeypatch):
+        # The B-phase reuses the A-phase's positions, so no inverse is
+        # rebuilt, and only the full trace is built.
+        def refuse(order):
+            raise AssertionError("full_modification rebuilt a position array")
+
+        built = []
+        trace_type = modification.ModificationTrace
+
+        def counted(*args):
+            built.append(args)
+            return trace_type(*args)
+
+        monkeypatch.setattr(modification, "_inverse", refuse)
+        monkeypatch.setattr(modification, "ModificationTrace", counted)
+        calls = 0
+        for poly in enumerate_polygons(8):
+            S = minimal_abs(poly)
+            for pair in eligible_pairs(S):
+                built.clear()
+                trace = full_modification(S, pair)
+                assert len(built) == 1 and trace.verdict is not None, (str(poly), pair.spec)
+                calls += 1
+        assert calls == 1794
+        with pytest.raises(AssertionError, match="position array"):
+            trace.result
+
+    def test_inverse_lists_positions(self):
+        for h in range(7):
+            for order in itertools.permutations(range(h)):
+                pos = _inverse(order)
+                assert [order[z] for z in pos] == list(range(h))
 
 
 def assert_matches_reference(S, pair, where):

@@ -11,8 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
+from stratabound import weyl
 from reference import (
     bruhat_leq_by_covers,
+    cycle_type,
     generic_specializations_by_transpositions,
     generic_specializations_by_type_table,
     parabolic_elements,
@@ -30,7 +32,6 @@ from stratabound.weyl import (
     _certificate,
     _certified_specializations,
     _cocover_types,
-    _cycle_type,
     _keyed_cycles,
     _times_x,
     _witness_exists,
@@ -328,6 +329,11 @@ class TestSpecializationOrder:
 class TestCycleTypeOracle:
     """The coloured-cycle-type rule behind ``generic_specializations_oracle``."""
 
+    def test_cycle_type_of_a_transposition(self):
+        # (1 2) and (3) at c = 1: words 10 and 0, kept as least rotations 01 and 0.
+        assert cycle_type([0, 2, 1, 3], 1) == ((1, 0), (2, 1))
+        assert _cocover_types([0, 2, 1, 3], 1, ()) == [((1, 0), (2, 1))]
+
     def test_type_is_the_block_conjugacy_class(self):
         # Two permutations share a coloured cycle type exactly when some u in
         # W_J = S_c x S_d conjugates one into the other, every c, h <= 5.
@@ -342,8 +348,8 @@ class TestCycleTypeOracle:
                         for a, b in enumerate(u, start=1):
                             u_inv[b] = a
                         orbit.add(tuple(u_inv[P[u[a - 1]]] for a in range(1, h + 1)))
-                    t = _cycle_type(P, c)
-                    same = {tuple(Q[1:]) for Q in perms if _cycle_type(Q, c) == t}
+                    t = cycle_type(P, c)
+                    same = {tuple(Q[1:]) for Q in perms if cycle_type(Q, c) == t}
                     assert same == orbit, (P, c)
 
     def test_exchanged_entries_split_or_join_cycles(self):
@@ -354,11 +360,11 @@ class TestCycleTypeOracle:
             for p in itertools.permutations(range(1, h + 1)):
                 P = [0, *p]
                 for c in range(0, h + 1):
-                    expected = [_cycle_type(P, c)]
+                    expected = [cycle_type(P, c)]
                     for a, b in pairs:
                         Q = list(P)
                         Q[a], Q[b] = Q[b], Q[a]
-                        expected.append(_cycle_type(Q, c))
+                        expected.append(cycle_type(Q, c))
                     assert _cocover_types(P, c, pairs) == expected, (P, c)
 
     def test_rule_equals_search_on_every_candidate_h9(self):
@@ -408,7 +414,7 @@ class TestCycleTypeOracle:
         # (1 2 3) and (1 3 2) x-twisted at c = 1: w x has one 3-cycle, v x
         # three fixed points, so no u in W_J carries one to the other.
         wp, v = (2, 3, 1), (3, 1, 2)
-        assert _cycle_type(_times_x(wp, 1), 1) != _cycle_type(_times_x(v, 1), 1)
+        assert cycle_type(_times_x(wp, 1), 1) != cycle_type(_times_x(v, 1), 1)
         with pytest.raises(InternalCheckError, match="not W_J-twisted conjugate"):
             _certificate(wp, _keyed_cycles(_times_x(wp, 1), 1), v, 1)
         e = (1, 2, 3)
@@ -456,6 +462,22 @@ class TestCycleTypeOracle:
             checked += 1
         assert checked == 983
 
+    def test_candidate_of_another_type_is_dropped(self, monkeypatch):
+        # An inverted word of the right length but the wrong type must be
+        # skipped before its certificate is asked for: answer the first
+        # found type with the second found representative's word.
+        poly = parse_polygon("2,5+3,2")
+        ctx = JWContext.for_polygon(poly)
+        c = ctx.c
+        w = binary_to_jw(to_binary_sequence(minimal_abs(poly)), ctx)
+        found = _certified_specializations(w, ctx)
+        assert len(found) >= 2
+        first, second = (cycle_type(_times_x(wp.images, c), c) for wp, _, _ in found[:2])
+        assert first != second
+        word_of = weyl._word_of_type
+        monkeypatch.setattr(weyl, "_word_of_type", lambda t: word_of(second if t == first else t))
+        assert _certified_specializations(w, ctx) == found[1:]
+
     def test_oracle_rejects_a_non_representative(self):
         with pytest.raises(DimensionMismatch):
             generic_specializations_oracle(Permutation((3, 2, 1)), JWContext(h=3, c=1))
@@ -470,11 +492,11 @@ class TestCycleTypeOracle:
             for c in range(0, h + 1):
                 table = type_table(h, c)
                 assert len(table) == math.comb(h, c)
-                assert all(_cycle_type(_times_x(w, c), c) == t for t, w in table.items()), (h, c)
+                assert all(cycle_type(_times_x(w, c), c) == t for t, w in table.items()), (h, c)
 
     def test_type_table_refuses_a_shared_type(self, monkeypatch):
         # A second representative of one type raises as the table is built.
-        monkeypatch.setattr(reference, "_cycle_type", lambda P, c: ())
+        monkeypatch.setattr(reference, "cycle_type", lambda P, c: ())
         type_table.cache_clear()
         try:
             with pytest.raises(InternalCheckError, match=r"\(1, 2, 3\) and \(1, 3, 2\) share a coloured cycle type"):
@@ -491,7 +513,7 @@ class TestCycleTypeOracle:
             for nu in itertools.product((0, 1), repeat=h):
                 c = sum(nu)
                 w = binary_to_jw(nu, JWContext(h=h, c=c))
-                t = _cycle_type(_times_x(w.images, c), c)
+                t = cycle_type(_times_x(w.images, c), c)
                 assert word_of_type(t) == nu
                 assert tuple(_word_of_type(t)) == nu
                 checked += 1
