@@ -5,8 +5,9 @@
   entries of the order and of the arrows instead.
 * The positional cascade on ``ABS`` objects: every stage rebuilds a full
   sequence, members are read off symbol positions, and the A- and B-phases
-  are written out as mirrored loops.  The library runs the same cascade on
-  integer ids; tests require both to agree stage by stage.
+  are written out as mirrored loops, each with its own cycle check.  The
+  library runs the same cascade on integer ids, and checks only the B-phase
+  for a cycle; tests require both to agree stage by stage.
 * The one-step set shortcuts (the next A-set is the arrow image of the
   previous one filtered by segment and label; the next B-set likewise
   without the segment filter).  For the A-side the shortcut can differ from
@@ -72,7 +73,6 @@ from stratabound.errors import (
 )
 from stratabound.modification import (
     GENERIC,
-    NONGENERIC_A_NEVER_EMPTY,
     NONGENERIC_B_NEVER_EMPTY,
     NONGENERIC_LENGTH_DROP,
     SmallModPair,
@@ -100,6 +100,8 @@ from stratabound.weyl import (
     resolve_budget,
     theta,
 )
+
+NONGENERIC_A_NEVER_EMPTY = "NonGenericANeverEmpty"
 
 
 def reordered(S: ABS, order) -> ABS:

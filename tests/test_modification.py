@@ -14,17 +14,22 @@ import pytest
 import golden
 import reference
 from stratabound import boundary, modification
-from reference import a_members_from_previous, b_members_from_previous, expansion_sorted_length_bound
+from reference import (
+    NONGENERIC_A_NEVER_EMPTY,
+    a_members_from_previous,
+    b_members_from_previous,
+    expansion_sorted_length_bound,
+)
 from stratabound.errors import ContextTooLarge, InternalCheckError, InvalidPair, PreconditionViolated
 from stratabound.modification import (
     GENERIC,
-    NONGENERIC_A_NEVER_EMPTY,
     NONGENERIC_B_NEVER_EMPTY,
     NONGENERIC_LENGTH_DROP,
     CensusRow,
     SmallModPair,
     _inverse,
     _move,
+    _phase,
     construction_a,
     construction_b,
     eligible_pairs,
@@ -199,6 +204,13 @@ class TestPhases:
             _move(order, pos, first, second, after=False)
         assert order == pos == list(range(len(S)))
 
+    def test_a_phase_cycle_hits_the_stage_cap(self):
+        # Synthetic tables whose A-phase returns to its first state: the
+        # A-phase keeps no state set, so the h^2 cap is what stops it.
+        order, pos = [0, 1, 2], [0, 1, 2]
+        with pytest.raises(InternalCheckError, match="A-phase exceeded the stage cap"):
+            _phase("A", ([1, 0, 2], [1, 1, 0], [2, 2, 1]), 1, None, order, pos)
+
     def test_full_equals_a_then_b(self):
         S = minimal_abs(parse_polygon("2,7+3,5"))
         pair = parse_pair("0:1:4,1:2:2")
@@ -218,8 +230,7 @@ class TestPhases:
             S = minimal_abs(poly)
             for pair in eligible_pairs(S):
                 got = full_modification(S, pair)
-                partial = construction_a(S, pair)
-                want = partial if partial.verdict == NONGENERIC_A_NEVER_EMPTY else construction_b(partial)
+                want = construction_b(construction_a(S, pair))
                 assert got == want, (str(poly), pair.spec)
                 assert got.ids == want.ids, (str(poly), pair.spec)
                 kinds.update(stage[0] for stage in got.id_stages)
@@ -447,7 +458,8 @@ class TestReferenceCascade:
         monkeypatch.setattr(modification, "small_modification", refuse)
         stages = 0
         for poly, pair, trace in all_traces(8):
-            trace.result
+            trace.result, trace.small
+            render_trace_ascii(trace), trace_to_json(trace)
             for stage in trace.stages:
                 stage.marker, stage.members, stage.sequence
                 stages += 1
@@ -616,13 +628,21 @@ class TestVerdicts:
 
     def test_no_a_phase_cycles_up_to_h11(self):
         # Every 0-before-1 pair, not only adjacent ones: no A-phase repeats
-        # its state, in the integer kernel or in the positional reference.
+        # its state, in the integer kernel or in the positional reference,
+        # and none even walks its marker's whole pi-orbit.
         traces = 0
         for poly, pair, trace in all_traces(11):
             traces += 1
             small = reference.small_modification(trace.source, pair)
             ref = reference.construction_a(small, pair, source=trace.source)
             assert NONGENERIC_A_NEVER_EMPTY not in (trace.verdict, ref.verdict), (str(poly), pair.spec)
+            pi, marker = trace.ids[0], trace.swap[1]
+            orbit = 1
+            t = pi[marker]
+            while t != marker:
+                t = pi[t]
+                orbit += 1
+            assert trace.a < orbit, (str(poly), pair.spec)
         assert traces == 18030
 
     @pytest.mark.xfail(
@@ -728,11 +748,10 @@ class TestWeylBridge:
         assert coxeter_length(v) == coxeter_length(w) - 1, where
         assert w_prime == binary_to_jw(trace.result_type, ctx), where
 
-    def test_every_generic_trace_gives_a_cocover(self):
-        # B inside the oracle from cascade code alone: every generic trace of
-        # every pair up to h = 10, not only the adjacent ones.
+    def assert_generic_cocovers(self, max_height):
+        """assert_cocover on every generic trace of every pair up to the height; returns their number."""
         generic = 0
-        for poly in enumerate_polygons(10):
+        for poly in enumerate_polygons(max_height):
             S = minimal_abs(poly)
             ctx = JWContext.for_polygon(poly)
             w = binary_to_jw(to_binary_sequence(S), ctx)
@@ -741,7 +760,15 @@ class TestWeylBridge:
                 if trace.verdict == GENERIC:
                     self.assert_cocover(trace, ctx, w)
                     generic += 1
-        assert generic == 3961
+        return generic
+
+    def test_every_generic_trace_gives_a_cocover(self):
+        # B inside the oracle from cascade code alone: every generic trace of
+        # every pair up to h = 10, not only the adjacent ones.
+        assert self.assert_generic_cocovers(10) == 3961
+
+    def test_every_generic_trace_gives_a_cocover_up_to_h11(self):
+        assert self.assert_generic_cocovers(11) == 7409
 
     def test_golden_traces_give_cocovers(self):
         # The 20-symbol trace drops the length by more than one and still passes.
