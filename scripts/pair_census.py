@@ -61,8 +61,7 @@ def main(argv=None) -> int:
     print(f"generic verdicts from non-adjacent pairs: {len(witnesses)}")
     for row in witnesses[: args.witnesses]:
         print(f"  {row.polygon}  pair {row.pair}")
-    distant_generic = [w for w in witnesses if not w.renaming_adjacent()]
-    print(f"generic verdicts beyond renaming-adjacency: {len(distant_generic)}")
+    print(f"generic verdicts beyond renaming-adjacency: {table[(GENERIC, 'distant')]}")
     return 0
 
 

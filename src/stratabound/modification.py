@@ -21,10 +21,10 @@ it; each cascade copies them and exchanges the two swapped positions, so no
 small-modification sequence is built.  The phase state is an order of ids
 plus the inverse array of positions, two lists that a move updates in place,
 only over the range it shifted; the B-phase goes on from the lists the
-A-phase left, and the cascade builds one trace at the end.  The split API,
-``construction_a`` and then ``construction_b``, gives the same trace by way
-of a partial one, and ``construction_b`` rebuilds the two lists from the
-partial's last stage.  The marker steps along pi from the swapped symbol.
+A-phase left, and the cascade builds one trace at the end.  The split API
+reads that one pass: ``construction_a`` cuts its trace after stage a, and
+``construction_b`` completes such a partial trace by running the pass for
+its source and pair.  The marker steps along pi from the swapped symbol.
 A stage's move is steered by one member of its set, the last in the A-phase
 and the first in the B-phase, which is the member nearest the marker, so the phase scans
 outward from the marker and stops at the first member it meets; it never
@@ -388,67 +388,34 @@ def _phase(
         _move(order, pos, marker, pi[nearest], after=a_phase)
 
 
-def _swapped_ids(source: ABS, pair: SmallModPair) -> tuple[tuple[int, int], tuple[list[int], list[int], list[int]]]:
-    """The swap positions and the small modification's pi, label and segment tables by id.
-
-    The tables are copies of ``source``'s cached ones with the two swapped
-    positions exchanged; no sequence is built.
-    """
-    i, j = _swap_positions(source, pair)
-    ids = tuple([list(table) for table in id_tables(source)])
-    for table in ids:
-        table[i], table[j] = table[j], table[i]
-    return (i, j), ids
-
-
-def _b_outcome(source: ABS, label: list[int], stages: list[tuple], never_empty: bool) -> tuple[int | None, str]:
-    """``b`` and the verdict of a finished B-phase; the result's length is read off the last stage's labels."""
-    if never_empty:
-        return None, NONGENERIC_B_NEVER_EMPTY
-    before = length(source)
-    after = word_length([label[t] for t in stages[-1][2]])
-    if before - after < 1:
-        raise InternalCheckError(f"full modification raised the length ({before} -> {after})")
-    return stages[-1][1], GENERIC if before - after == 1 else NONGENERIC_LENGTH_DROP
-
-
 def construction_a(source: ABS, pair: SmallModPair) -> ModificationTrace:
-    """Run the A-phase on the small modification of ``source`` by ``pair``.
+    """The A-phase of the cascade on the small modification of ``source`` by ``pair``.
 
-    Returns a partial trace (b and the result still unset), from the same
-    table swap and A-phase that ``full_modification`` runs.  Records one
-    stage per sequence: stage n holds S^(n) as an id order and the marker
-    alpha_n; A_n is computed in S^(n) when the stage's members are read.
-    Ends with a = first empty index.
+    Reads ``full_modification``'s one pass and cuts its trace after stage a,
+    the first empty index: the same swap, id tables and stages 0..a (stage n
+    holds S^(n) as an id order and the marker alpha_n; A_n is computed in
+    S^(n) when the stage's members are read), with b and the verdict unset.
+    So it runs the B-phase too, and can raise that phase's ``InternalCheckError``.
     """
-    swap, ids = _swapped_ids(source, pair)
-    order = list(range(len(source)))
-    # the 0-symbol now sits at position j = swap[1], so its id is j
-    stages, _ = _phase("A", ids, swap[1], pair.one.segment, order, order.copy())
-    return ModificationTrace(source, pair, swap, ids, tuple(stages), stages[-1][1], None, None)
+    full = full_modification(source, pair)
+    return ModificationTrace(source, pair, full.swap, full.ids, full.id_stages[: full.a + 1], full.a, None, None)
 
 
 def construction_b(trace: ModificationTrace) -> ModificationTrace:
-    """Run the B-phase on a partial trace and classify the outcome.
-
-    The phase state is rebuilt from the partial's last stage: its id order
-    and that order's inverse.
-    """
+    """Complete a partial trace from ``construction_a``: the one pass of ``full_modification`` for its source and pair."""
     if trace.b is not None or trace.verdict is not None:
         raise PreconditionViolated("trace already completed")
-    ids = trace.ids
-    order = list(trace.id_stages[-1][2])
-    # the 1-symbol now sits where the 0-symbol was
-    stages, never_empty = _phase("B", ids, trace.swap[0], None, order, _inverse(order))
-    b, verdict = _b_outcome(trace.source, ids[1], stages, never_empty)
-    return ModificationTrace(trace.source, trace.pair, trace.swap, ids, trace.id_stages + tuple(stages), trace.a, b, verdict)
+    return full_modification(trace.source, trace.pair)
 
 
 def full_modification(S: ABS, pair: SmallModPair) -> ModificationTrace:
     """Small modification, then the A- and B-phases in one pass; classifies the verdict.
 
-    Equal to ``construction_b(construction_a(S, pair))``, but the B-phase
-    runs on the order and positions the A-phase left, and one trace is built.
+    The only code that runs a cascade: the B-phase runs on the order and
+    positions the A-phase left, and one trace is built.  The split API
+    (``construction_a`` then ``construction_b``) reads this pass.  The small
+    modification's id tables are copies of ``S``'s cached ones with the two
+    swapped positions exchanged; no sequence is built.
 
     >>> from .newton import parse_polygon
     >>> from .sequences import minimal_abs
@@ -457,15 +424,27 @@ def full_modification(S: ABS, pair: SmallModPair) -> ModificationTrace:
     >>> trace.a, trace.b, trace.verdict, trace.result_type
     (1, 2, 'Generic', (1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0))
     """
-    swap, ids = _swapped_ids(S, pair)
+    i, j = _swap_positions(S, pair)
+    ids = tuple([list(table) for table in id_tables(S)])
+    for table in ids:
+        table[i], table[j] = table[j], table[i]
     order = list(range(len(S)))
     pos = order.copy()
-    stages, _ = _phase("A", ids, swap[1], pair.one.segment, order, pos)
+    # the 0-symbol now sits at position j, so its id is j; the 1-symbol's is i
+    stages, _ = _phase("A", ids, j, pair.one.segment, order, pos)
     a = stages[-1][1]
-    b_stages, never_empty = _phase("B", ids, swap[0], None, order, pos)
-    b, verdict = _b_outcome(S, ids[1], b_stages, never_empty)
+    b_stages, never_empty = _phase("B", ids, i, None, order, pos)
     stages += b_stages
-    return ModificationTrace(S, pair, swap, ids, tuple(stages), a, b, verdict)
+    if never_empty:
+        b, verdict = None, NONGENERIC_B_NEVER_EMPTY
+    else:
+        # the result's length, read off the labels of the last stage's order
+        before = length(S)
+        after = word_length([ids[1][t] for t in order])
+        if before - after < 1:
+            raise InternalCheckError(f"full modification raised the length ({before} -> {after})")
+        b, verdict = b_stages[-1][1], GENERIC if before - after == 1 else NONGENERIC_LENGTH_DROP
+    return ModificationTrace(S, pair, (i, j), ids, tuple(stages), a, b, verdict)
 
 
 def eligible_pairs(S: ABS, adjacent_only: bool = False) -> tuple[SmallModPair, ...]:
@@ -505,24 +484,13 @@ class CensusRow:
         """Can equal segments be renamed so the pair becomes adjacent (q = r + 1)?
 
         Equal coprime segments form blocks of consecutive indices, and any
-        permutation within a block is an automorphism of the sequence.
+        permutation within a block is an automorphism of the sequence, so the
+        pair can be renamed adjacent exactly when some segment k equal to
+        segment r is followed by a segment k + 1 equal to segment q.
         """
         r, q = self.zero_segment, self.one_segment
-        if r == q:
-            return False
         segs = [(s.m, s.n) for s in parse_polygon(self.polygon).segments]
-        block = {}
-        i = 0
-        while i < len(segs):
-            j = i
-            while j + 1 < len(segs) and segs[j + 1] == segs[i]:
-                j += 1
-            for k in range(i, j + 1):
-                block[k + 1] = (i + 1, j + 1)
-            i = j + 1
-        r_lo, r_hi = block[r]
-        q_lo, q_hi = block[q]
-        return max(r_lo + 1, q_lo) <= min(r_hi + 1, q_hi)
+        return r != q and any(segs[k - 1] == segs[r - 1] and segs[k] == segs[q - 1] for k in range(1, len(segs)))
 
 
 def modification_census(max_height: int) -> list[CensusRow]:

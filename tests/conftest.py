@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import random
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from stratabound.newton import NewtonPolygon, Segment
+from stratabound.newton import NewtonPolygon, Segment, validate
 
 # ---------------------------------------------------------------------------
 # Acceptance criteria reporting: each acceptance test records its outcome so
@@ -30,6 +32,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f" [{detail}]"
         terminalreporter.write_line(line)
+
+
+# ---------------------------------------------------------------------------
+# Seeded polygons beyond the exhaustive range
+# ---------------------------------------------------------------------------
+
+
+def tall_random_polygons() -> list[NewtonPolygon]:
+    """60 seeded polygons (seed 7) of 2..5 coprime segments with m, n <= 12 and height 20..60."""
+    rng = random.Random(7)
+    polygons = []
+    while len(polygons) < 60:
+        segments = set()
+        for _ in range(rng.randint(2, 5)):
+            m, n = rng.randint(0, 12), rng.randint(0, 12)
+            if math.gcd(m, n) == 1:
+                segments.add((m, n))
+        if 20 <= sum(m + n for m, n in segments) <= 60:
+            polygons.append(validate(sorted(segments, key=lambda s: Fraction(s[1], sum(s)), reverse=True)))
+    return polygons
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,14 @@ import hashlib
 import itertools
 import json
 import math
-import random
 import runpy
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import golden
 import pin_boundary_types
+from conftest import tall_random_polygons
 from reference import duality_map_by_conjugation
 from stratabound import boundary
 from stratabound.boundary import (
@@ -31,7 +30,7 @@ from stratabound.boundary import (
 )
 from stratabound.errors import DimensionMismatch, PreconditionViolated, VerificationFailure
 from stratabound.modification import parse_pair
-from stratabound.newton import NewtonPolygon, Segment, dual, enumerate_polygons, parse_polygon, validate
+from stratabound.newton import NewtonPolygon, Segment, dual, enumerate_polygons, parse_polygon
 from stratabound.sequences import abs_from_binary_sequence, length, minimal_abs
 
 
@@ -70,16 +69,7 @@ class TestBoundarySet:
     def test_matches_oracle_on_random_polygons_of_height_20_to_60(self):
         # At the default budget: the oracle's 2 l(w) + 1 nodes do not grow
         # with C(h, c), which passes 10^6 from h = 23 on.
-        rng = random.Random(7)
-        polygons = []
-        while len(polygons) < 60:
-            segments = set()
-            for _ in range(rng.randint(2, 5)):
-                m, n = rng.randint(0, 12), rng.randint(0, 12)
-                if math.gcd(m, n) == 1:
-                    segments.add((m, n))
-            if 20 <= sum(m + n for m, n in segments) <= 60:
-                polygons.append(validate(sorted(segments, key=lambda s: Fraction(s[1], sum(s)), reverse=True)))
+        polygons = tall_random_polygons()
         assert max(math.comb(p.height, p.codimension) for p in polygons) > 10**6
         for poly in polygons:
             assert boundary_set(poly).types() == boundary_set_oracle(poly).types(), str(poly)

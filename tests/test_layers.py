@@ -1,14 +1,15 @@
-"""The benchmark's traced layer names must stay real package functions, and its verdict map must cover every verdict."""
+"""The benchmark's traced layer names must stay real package functions, its verdict map must cover every verdict, and its split-API stage counters must count the one pass's phases."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from stratabound.modification import eligible_pairs, full_modification
+from stratabound.modification import construction_a, construction_b, eligible_pairs, full_modification
 from stratabound.newton import enumerate_polygons
 from stratabound.sequences import minimal_abs
 
@@ -37,3 +38,22 @@ def test_every_verdict_has_a_traced_counter():
         S = minimal_abs(poly)
         verdicts.update(full_modification(S, pair).verdict for pair in eligible_pairs(S))
     assert verdicts <= load_tracing().VERDICTS.keys(), verdicts
+
+
+def test_split_api_observers_count_the_phase_stages():
+    # The traced run counts modification.construction_{a,b}.stages off the
+    # split API's results; fed those results, its observers must count the A
+    # and B stages of full_modification's one pass.
+    tracer = load_tracing().Tracer()
+    kinds = Counter()
+    for poly in enumerate_polygons(8):
+        S = minimal_abs(poly)
+        for pair in eligible_pairs(S):
+            partial = construction_a(S, pair)
+            tracer._construction_a(None, (S, pair), {}, partial)
+            tracer._construction_b(None, (partial,), {}, construction_b(partial))
+            kinds.update(stage[0] for stage in full_modification(S, pair).id_stages)
+    assert kinds == {"A": 2985, "B": 4209}
+    counts = tracer.counts
+    assert counts["modification.construction_a.stages"] == kinds["A"]
+    assert counts["modification.construction_b.stages"] == kinds["B"]

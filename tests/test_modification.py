@@ -13,6 +13,7 @@ import pytest
 
 import golden
 import reference
+from conftest import tall_random_polygons
 from stratabound import boundary, modification
 from reference import (
     NONGENERIC_A_NEVER_EMPTY,
@@ -221,18 +222,24 @@ class TestPhases:
         assert via_full == via_phases
 
     def test_one_pass_equals_split_phases_up_to_h10(self):
-        # full_modification runs the B-phase on the A-phase's live state; the
-        # split API rebuilds it from the partial's last stage.  Same traces,
-        # and the same phase stage totals the traced census counted.
+        # The split API reads full_modification's one pass: the partial is
+        # the full trace cut after stage a, with b and the verdict unset, and
+        # completing it gives the full trace.  Same phase stage totals as the
+        # traced census counted.
         kinds = Counter()
         traces = 0
         for poly in enumerate_polygons(10):
             S = minimal_abs(poly)
             for pair in eligible_pairs(S):
+                where = (str(poly), pair.spec)
                 got = full_modification(S, pair)
-                want = construction_b(construction_a(S, pair))
-                assert got == want, (str(poly), pair.spec)
-                assert got.ids == want.ids, (str(poly), pair.spec)
+                partial = construction_a(S, pair)
+                assert partial.b is None and partial.verdict is None, where
+                assert partial.a == got.a, where
+                assert partial.id_stages == got.id_stages[: got.a + 1], where
+                want = construction_b(partial)
+                assert got == want, where
+                assert got.ids == want.ids, where
                 kinds.update(stage[0] for stage in got.id_stages)
                 traces += 1
         assert traces == 8726
@@ -608,6 +615,12 @@ class TestVerdicts:
         assert not row("0,1+1,1+1,0", 1, 3).renaming_adjacent()
         assert not row("0,1+0,1+1,0", 2, 2).renaming_adjacent()
         assert not row("0,1+0,1+1,0", 3, 1).renaming_adjacent()
+        # two blocks of two: segments 1-2 and 3-4 are equal within each block
+        blocks = "0,1+0,1+1,1+1,1+1,0"
+        for r, q in ((2, 3), (1, 4), (3, 4), (4, 3)):
+            assert row(blocks, r, q).renaming_adjacent(), (r, q)
+        for r, q in ((4, 1), (1, 5), (2, 5)):
+            assert not row(blocks, r, q).renaming_adjacent(), (r, q)
 
     def test_generic_drop_is_one(self):
         for _poly, _pair, trace in all_traces(7):
@@ -748,14 +761,14 @@ class TestWeylBridge:
         assert coxeter_length(v) == coxeter_length(w) - 1, where
         assert w_prime == binary_to_jw(trace.result_type, ctx), where
 
-    def assert_generic_cocovers(self, max_height):
-        """assert_cocover on every generic trace of every pair up to the height; returns their number."""
+    def assert_generic_cocovers(self, polygons, adjacent_only=False):
+        """assert_cocover on every generic trace of the polygons' pairs (adjacent ones only if asked); returns their number."""
         generic = 0
-        for poly in enumerate_polygons(max_height):
+        for poly in polygons:
             S = minimal_abs(poly)
             ctx = JWContext.for_polygon(poly)
             w = binary_to_jw(to_binary_sequence(S), ctx)
-            for pair in eligible_pairs(S):
+            for pair in eligible_pairs(S, adjacent_only):
                 trace = full_modification(S, pair)
                 if trace.verdict == GENERIC:
                     self.assert_cocover(trace, ctx, w)
@@ -765,10 +778,15 @@ class TestWeylBridge:
     def test_every_generic_trace_gives_a_cocover(self):
         # B inside the oracle from cascade code alone: every generic trace of
         # every pair up to h = 10, not only the adjacent ones.
-        assert self.assert_generic_cocovers(10) == 3961
+        assert self.assert_generic_cocovers(enumerate_polygons(10)) == 3961
 
     def test_every_generic_trace_gives_a_cocover_up_to_h11(self):
-        assert self.assert_generic_cocovers(11) == 7409
+        assert self.assert_generic_cocovers(enumerate_polygons(11)) == 7409
+
+    def test_every_generic_adjacent_trace_of_tall_random_polygons_gives_a_cocover(self):
+        # The 60 seeded polygons of height 20-55 on which boundary_set is
+        # checked against the oracle: each generic trace there carries its own u.
+        assert self.assert_generic_cocovers(tall_random_polygons(), adjacent_only=True) == 671
 
     def test_golden_traces_give_cocovers(self):
         # The 20-symbol trace drops the length by more than one and still passes.
