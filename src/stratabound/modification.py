@@ -325,7 +325,7 @@ def _phase(
     exclude: int | None,
     order: list[int],
     pos: list[int],
-) -> tuple[list[tuple], bool]:
+) -> tuple[list[tuple], int | None]:
     """Run the A- or B-phase on the live id ``order`` and its inverse ``pos``; ``first`` is the swapped symbol's id.
 
     ``ids`` are the pi, label and segment tables of the small modification.
@@ -339,10 +339,11 @@ def _phase(
     as ``(kind, n, order, marker, exclude)`` tuples (stage n holds the order
     after the n-th move, the marker and the segment its set leaves out, None
     for A_0 and the B-phase), from which ``Stage.member_ids`` reads the n-th
-    set when asked, and whether its (order, marker) key repeated with a
-    non-empty set, i.e. the phase never empties.  Only the B-phase keeps
-    those keys: no A-phase is known to cycle (see the module docstring), and
-    either phase raises ``InternalCheckError`` past h^2 stages.
+    set when asked, and the index n of the set that emptied, or None when an
+    (order, marker) key repeated with a non-empty set, i.e. the phase never
+    empties.  Only the B-phase keeps those keys, so only it returns None: no
+    A-phase is known to cycle (see the module docstring), and either phase
+    raises ``InternalCheckError`` past h^2 stages.
     """
     pi, label, segment = ids
     a_phase = kind == "A"
@@ -375,11 +376,11 @@ def _phase(
                     nearest = t
                     break
         if nearest is None:
-            return stages, False
+            return stages, n
         if not a_phase:
             state = (key, marker)
             if state in seen:
-                return stages, True
+                return stages, None
             seen.add(state)
         if len(stages) > cap:
             raise InternalCheckError(f"{kind}-phase exceeded the stage cap without a verdict")
@@ -431,19 +432,18 @@ def full_modification(S: ABS, pair: SmallModPair) -> ModificationTrace:
     order = list(range(len(S)))
     pos = order.copy()
     # the 0-symbol now sits at position j, so its id is j; the 1-symbol's is i
-    stages, _ = _phase("A", ids, j, pair.one.segment, order, pos)
-    a = stages[-1][1]
-    b_stages, never_empty = _phase("B", ids, i, None, order, pos)
+    stages, a = _phase("A", ids, j, pair.one.segment, order, pos)
+    b_stages, b = _phase("B", ids, i, None, order, pos)
     stages += b_stages
-    if never_empty:
-        b, verdict = None, NONGENERIC_B_NEVER_EMPTY
+    if b is None:
+        verdict = NONGENERIC_B_NEVER_EMPTY
     else:
         # the result's length, read off the labels of the last stage's order
         before = length(S)
         after = word_length([ids[1][t] for t in order])
         if before - after < 1:
             raise InternalCheckError(f"full modification raised the length ({before} -> {after})")
-        b, verdict = b_stages[-1][1], GENERIC if before - after == 1 else NONGENERIC_LENGTH_DROP
+        verdict = GENERIC if before - after == 1 else NONGENERIC_LENGTH_DROP
     return ModificationTrace(S, pair, (i, j), ids, tuple(stages), a, b, verdict)
 
 
@@ -454,15 +454,12 @@ def eligible_pairs(S: ABS, adjacent_only: bool = False) -> tuple[SmallModPair, .
     candidates that can be generic).
     """
     pairs = []
-    for x, t0 in enumerate(S.order):
-        if t0.label != 0:
-            continue
-        for t1 in S.order[x + 1 :]:
-            if t1.label != 1:
-                continue
-            if adjacent_only and t1.segment != t0.segment + 1:
-                continue
-            pairs.append(SmallModPair(t0, t1))
+    zeros = []  # the 0-symbols passed so far
+    for t in S.order:
+        if t.label == 0:
+            zeros.append(t)
+        else:
+            pairs += [SmallModPair(t0, t) for t0 in zeros if not adjacent_only or t0.segment == t.segment - 1]
     return tuple(sorted(pairs, key=SmallModPair.sort_key))
 
 

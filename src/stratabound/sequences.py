@@ -20,13 +20,13 @@ their expansion words agree too.  The expansion words of a word's canonical
 sequence are computed once per word per process, and serve both the merge
 of a polygon's segments in ``minimal_abs`` and ``direct_sum_type(types)``,
 which takes the summands as plain 0/1 words.  That merge, ``direct_sum`` and
-``direct_sum_type`` compare the same exact integer keys: the first K bits of
-each value's expansion, K the sum of the distinct expansion periods (the
-segment heights, or the summands' orbit lengths), so no ``Fraction`` is
-built or compared; ``direct_sum_type`` reads only the merged labels and
-builds no sequence.  ``minimal_abs`` is memoized per polygon, bounded at
-``MINIMAL_ABS_CACHE_SIZE`` (64) polygons, so the oracle reads the sequence
-the combinatorial side just built.
+``direct_sum_type`` take their order from one routine, ``_merge_order``: it
+sorts exact integer keys, the first K bits of each value's expansion, K the
+sum of the distinct expansion periods (the segment heights, or the summands'
+orbit lengths), so no ``Fraction`` is built or compared; ``direct_sum_type``
+reads only the merged labels and builds no sequence.  ``minimal_abs`` is
+memoized per polygon, bounded at ``MINIMAL_ABS_CACHE_SIZE`` (64) polygons,
+so the oracle reads the sequence the combinatorial side just built.
 
 >>> S = minimal_abs_segment(1, 2)
 >>> [t.token for t in S.order]
@@ -278,33 +278,30 @@ def direct_sum(*summands: ABS) -> ABS:
 
     The expansion of a symbol is unchanged by the merge (pi stays within each
     summand), and pi is compatible with the merged order because
-    b(pi(t)) = (delta(t) + b(t)) / 2 is monotone in the sort key.  The merge
-    compares the exact integer keys of ``_expansion_keys``.
+    b(pi(t)) = (delta(t) + b(t)) / 2 is monotone in the sort key.  The order
+    is ``_merge_order`` of each summand's ``_expansion_words``.
 
     >>> S = direct_sum(minimal_abs_segment(1, 1, 1), minimal_abs_segment(1, 1, 2))
     >>> [t.token for t in S.order]
     ['1^1_1', '1^2_1', '0^1_2', '0^2_2']
     """
-    return _merge(
-        [(S.order, S.arrows) for S in summands],
-        _expansion_keys([_expansion_words([t.label for t in S.order], S.arrows) for S in summands]),
-    )
+    parts = [(S.order, S.arrows) for S in summands]
+    return _merge(parts, _merge_order([_expansion_words([t.label for t in order], arrows) for order, arrows in parts]))
 
 
 def direct_sum_type(types) -> tuple[int, ...]:
     """The type of the direct sum of the canonical sequences of the 0/1 words ``types``.
 
-    The same merge as ``direct_sum`` on the same integer keys, read off each
-    word's ``_canonical_words``, but only the labels are read along the
-    merged order: no sequence is built.  The word 1^m 0^n stands for the
-    minimal sequence of the segment (m, n), which is its canonical sequence.
+    The same order as ``direct_sum``, ``_merge_order`` of each word's
+    ``_canonical_words``, but only the labels are read along it: no sequence
+    is built.  The word 1^m 0^n stands for the minimal sequence of the
+    segment (m, n), which is its canonical sequence.
 
     >>> direct_sum_type([(1, 0), (1, 0)])
     (1, 1, 0, 0)
     """
     types = [tuple(t) for t in types]
-    keys = _expansion_keys([_canonical_words(t) for t in types])
-    return tuple([types[k][idx] for k, idx in _merge_order(keys)])
+    return tuple([types[k][idx] for _, k, idx in _merge_order([_canonical_words(t) for t in types])])
 
 
 def _expansion_words(labels, arrows) -> list[tuple[int, int]]:
@@ -360,63 +357,35 @@ def _canonical_words(word: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(_expansion_words(word, canonical_arrows(word)))
 
 
-def _merge_order(values) -> list[tuple[int, int]]:
-    # (summand k, index idx) at each merged position: values[k][idx] is the
-    # merge key of summand k's symbol idx, and ties break by (k, idx).
-    return [(k, idx) for _, k, idx in sorted((v, k, idx) for k, vs in enumerate(values) for idx, v in enumerate(vs))]
+def _merge_order(words) -> list[tuple[int, int, int]]:
+    """The direct-sum order: ``(key, k, idx)`` for every symbol, sorted.
 
-
-def _merge(parts, values) -> ABS:
-    # parts[k] is the (order, arrows) of summand k and values[k] its merge
-    # keys; a symbol shared by two summands shows up as a repeat in the
-    # merged order.
-    merged = _merge_order(values)
-    where = [[0] * len(vs) for vs in values]
-    for z, (k, idx) in enumerate(merged, start=1):
-        where[k][idx] = z
-    return ABS.from_arrows(
-        [parts[k][0][idx] for k, idx in merged],
-        [where[k][parts[k][1][idx] - 1] for k, idx in merged],
-    )
-
-
-def _expansion_keys(values) -> list[list[int]]:
-    """Exact integer merge keys of ``values[k]``, lists of ``(w, 2^p - 1)`` pairs.
-
-    Each pair is the value w / (2^p - 1): a purely periodic expansion of
-    period p.  Its key is floor(value * 2^K), the expansion's first K bits,
-    with K the sum of the distinct periods in all lists.  By Fine and Wilf,
-    expansions of periods p and q that agree on their first
+    ``words[k]`` lists the ``(w, 2^p - 1)`` pairs of summand k: the value
+    w / (2^p - 1) of its symbol idx, a purely periodic expansion of period p.
+    The key is floor(value * 2^K), the expansion's first K bits, with K the
+    sum of the distinct periods in all lists, and ties break by (k, idx).  By
+    Fine and Wilf, expansions of periods p and q that agree on their first
     p + q - gcd(p, q) <= K bits are equal, so the keys keep the values' order
     and ties exactly in at most K + 1 bits.
 
-    >>> _expansion_keys([[(1, 7), (2, 7), (4, 7)], [(1, 1)]])  # 1/7, 2/7, 4/7 and 1 in K = 3 + 1 bits
-    [[2, 4, 9], [16]]
+    >>> _merge_order([[(1, 7), (2, 7), (4, 7)], [(1, 1)]])  # 1/7, 2/7, 4/7 and 1 in K = 3 + 1 bits
+    [(2, 0, 0), (4, 0, 1), (9, 0, 2), (16, 1, 0)]
     """
-    width = sum({den.bit_length() for vs in values for _, den in vs})
-    return [[(word << width) // den for word, den in vs] for vs in values]
+    width = sum({den.bit_length() for ws in words for _, den in ws})
+    return sorted(((w << width) // den, k, idx) for k, ws in enumerate(words) for idx, (w, den) in enumerate(ws))
 
 
-def _merge_keys(segments) -> dict[tuple[int, int], list[int]]:
-    """Integer merge keys of each distinct segment (m, n), checked for ties.
-
-    The keys are ``_expansion_keys`` of the ``_canonical_words`` of each
-    segment's word 1^m 0^n (period m + n).  Ties across distinct segments
-    would break the canonical order and raise.
-    """
-    distinct = dict.fromkeys(segments)
-    groups = [_canonical_words((1,) * m + (0,) * n) for m, n in distinct]
-    all_keys = _expansion_keys(groups)
-    owner: dict[int, tuple[int, int]] = {}
-    for pair, words, keys in zip(distinct, groups, all_keys):
-        distinct[pair] = keys
-        for (word, den), key in zip(words, keys):
-            other = owner.setdefault(key, pair)
-            if other != pair:
-                raise InternalCheckError(
-                    f"expansion tie {Fraction(word, den)} between distinct segments {other} and {pair}"
-                )
-    return distinct
+def _merge(parts, merged) -> ABS:
+    # parts[k] is the (order, arrows) of summand k and merged the
+    # _merge_order of their symbols; a symbol shared by two summands shows
+    # up as a repeat in the merged order.
+    where = [[0] * len(order) for order, _ in parts]
+    for z, (_, k, idx) in enumerate(merged, start=1):
+        where[k][idx] = z
+    return ABS.from_arrows(
+        [parts[k][0][idx] for _, k, idx in merged],
+        [where[k][parts[k][1][idx] - 1] for _, k, idx in merged],
+    )
 
 
 # Bound on the polygons whose minimal sequence is kept.  Measured traffic per
@@ -436,23 +405,26 @@ MINIMAL_ABS_CACHE_SIZE = 64
 def minimal_abs(polygon: NewtonPolygon) -> ABS:
     """Minimal sequence of a polygon: direct sum of its minimal segments.
 
-    Expansion ties across summands can only come from equal segments; anything
-    else would break the canonical order, so it is checked outright.  The
-    expansion words of each distinct (m, n) are computed once per process,
-    as the ``_canonical_words`` of 1^m 0^n; ``_merge_keys`` turns them into
-    exact integer keys for both the tie check and the merge, which reads each
-    segment's order and arrows without building its sequence.
+    The order is ``_merge_order`` of each segment's ``_canonical_words`` of
+    1^m 0^n, computed once per distinct (m, n) per process, and the merge
+    reads each segment's order and arrows without building its sequence.
+    Expansion ties across summands can only come from equal segments;
+    anything else would break the canonical order, so it is checked
+    outright: tied values sit next to each other in the merged order.
 
     Memoized per polygon (at most ``MINIMAL_ABS_CACHE_SIZE`` of them, least
     recently used dropped first); a sequence is immutable, so every caller
     may share it.
     """
     segments = [(seg.m, seg.n) for seg in polygon.segments]
-    keys = _merge_keys(segments)
-    return _merge(
-        [_segment_parts(m, n, k) for k, (m, n) in enumerate(segments, start=1)],
-        [keys[pair] for pair in segments],
-    )
+    words = [_canonical_words((1,) * m + (0,) * n) for m, n in segments]
+    merged = _merge_order(words)
+    for (key, k, _), (next_key, j, idx) in zip(merged, merged[1:]):
+        if key == next_key and segments[k] != segments[j]:
+            raise InternalCheckError(
+                f"expansion tie {Fraction(*words[j][idx])} between distinct segments {segments[k]} and {segments[j]}"
+            )
+    return _merge([_segment_parts(m, n, k) for k, (m, n) in enumerate(segments, start=1)], merged)
 
 
 def to_binary_sequence(S: ABS) -> tuple[int, ...]:

@@ -25,8 +25,9 @@
 * The direct sum built from the walked expansion of each summand's symbols,
   sorted on ``Fraction`` values, and a symbol-keyed merge; the minimal
   sequence of a polygon is that sum of its minimal segments.  The library
-  merges on exact integer keys instead (``_expansion_keys``), and computes
-  each distinct segment's expansion words once.
+  sorts exact integer keys instead, in one routine for every direct sum
+  (``_merge_order``), and computes each distinct segment's expansion words
+  once.
 * The specialization test by full scan: every u in W_J = S_c x S_d is
   tried, from a table of (u^{-1}, theta(u)) image tuples built once per
   (h, c).  The library searches with pruning instead; tests require both to

@@ -222,16 +222,53 @@ class TestDuality:
 class TestFailureReports:
     """Each type-map witness, forced by a patched collaborator, with its exact payload."""
 
-    def stub_boundary_set(self, monkeypatch, polygon, word):
-        # boundary_set as before, except that ``polygon`` gets the one-element set {word}.
+    def stub_boundary_set(self, monkeypatch, polygon, *words):
+        # boundary_set as before, except that ``polygon`` gets the set of ``words``.
         real = boundary.boundary_set
 
         def patched(p):
             if p == parse_polygon(polygon):
-                return BoundarySet(p, (BoundaryElement(tuple(map(int, word)), ()),), "stub")
+                return BoundarySet(p, tuple(BoundaryElement(tuple(map(int, word)), ()) for word in words), "stub")
             return real(p)
 
         monkeypatch.setattr(boundary, "boundary_set", patched)
+
+    def direct_sum_report(self, second, bijection, witness):
+        # verify_direct_sum's failing payload for 0,1+1,1+1,0; ``second`` is
+        # the listing of B(1,1+1,0), its second adjacent pair.
+        return {
+            "polygon": "0,1+1,1+1,0",
+            "kind": "direct-sum",
+            "lhs": ["i=1 0,1+1,1: ['100']", f"i=2 1,1+1,0: {second}"],
+            "rhs": ["0110", "1001"],
+            "bijection": bijection,
+            "status": "fail",
+            "witness": witness,
+        }
+
+    def test_direct_sum_constant_map_is_not_injective(self, monkeypatch):
+        monkeypatch.setattr(boundary, "direct_sum_type", lambda types: (1, 0, 0, 1))
+        assert verify_direct_sum(parse_polygon("0,1+1,1+1,0")).to_json() == self.direct_sum_report(
+            "['110']",
+            [["i=1:100", "1001"], ["i=2:110", "1001"]],
+            {"check": "injective", "image": "1001", "sources": ["i=1:100", "i=2:110"]},
+        )
+
+    def test_direct_sum_image_outside_the_boundary(self, monkeypatch):
+        monkeypatch.setattr(boundary, "direct_sum_type", lambda types: (0, 0, 1, 1))
+        assert verify_direct_sum(parse_polygon("0,1+1,1+1,0")).to_json() == self.direct_sum_report(
+            "['110']",
+            [["i=1:100", "0011"], ["i=2:110", "0011"]],
+            {"check": "image_in_boundary", "source": "i=1:100", "image": "0011"},
+        )
+
+    def test_direct_sum_images_do_not_exhaust_the_boundary(self, monkeypatch):
+        self.stub_boundary_set(monkeypatch, "1,1+1,0")  # no elements
+        assert verify_direct_sum(parse_polygon("0,1+1,1+1,0")).to_json() == self.direct_sum_report(
+            "[]",
+            [["i=1:100", "1001"]],
+            {"check": "exhausts_boundary", "unmatched": ["0110"]},
+        )
 
     def test_duality_constant_map_is_not_injective(self, monkeypatch):
         monkeypatch.setattr(boundary, "duality_map_type", lambda bits, c: (1, 1, 1, 0, 0, 0))

@@ -178,6 +178,15 @@ class TestPairs:
             for pair in eligible_pairs(S, adjacent_only=True):
                 assert pair.one.segment == pair.zero.segment + 1
 
+    def test_eligible_pairs_are_every_zero_before_one_up_to_h10(self):
+        for poly in enumerate_polygons(10):
+            S = minimal_abs(poly)
+            every = [SmallModPair(t0, t1) for t0, t1 in itertools.combinations(S.order, 2) if (t0.label, t1.label) == (0, 1)]
+            every.sort(key=SmallModPair.sort_key)
+            assert eligible_pairs(S) == tuple(every), str(poly)
+            adjacent = tuple(pair for pair in every if pair.one.segment == pair.zero.segment + 1)
+            assert eligible_pairs(S, adjacent_only=True) == adjacent, str(poly)
+
     def test_eligible_pairs_sorted(self):
         S = minimal_abs(parse_polygon("2,5+3,2"))
         keys = [p.sort_key() for p in eligible_pairs(S)]

@@ -259,7 +259,7 @@ class TestMinimalAbs:
 
     def test_equals_expansion_reference_h13_h14(self):
         # Heights 13 and 14 exactly: every mix of up to five distinct periods
-        # there, each one a case of the Fine-Wilf key width in _merge_keys.
+        # there, each one a case of the Fine-Wilf key width in _merge_order.
         checked = 0
         for poly in enumerate_polygons(14):
             if poly.height < 13:
@@ -275,8 +275,8 @@ class TestMinimalAbs:
         # 446,185,740, so keys over a common denominator 2^lcm - 1 would take
         # about 56 MB each.  Keys are at most h + 1 bits, checked before the merge.
         poly = parse_polygon("1,3+1,2+2,3+3,4+5,6+6,7+8,9+9,10+11,12")
-        keys = sequences._merge_keys([(seg.m, seg.n) for seg in poly.segments])
-        assert max(key.bit_length() for ks in keys.values() for key in ks) <= poly.height + 1
+        merged = sequences._merge_order([sequences._canonical_words((1,) * seg.m + (0,) * seg.n) for seg in poly.segments])
+        assert max(key.bit_length() for key, _, _ in merged) <= poly.height + 1
         S = minimal_abs(poly)
         R = minimal_abs_by_expansions(poly)
         assert S == R and hash(S) == hash(R)
@@ -294,6 +294,9 @@ class TestMinimalAbs:
             tie = r"expansion tie 1/2 between distinct segments \(1, 2\) and \(1, 1\)"
             with pytest.raises(InternalCheckError, match=tie):
                 minimal_abs(parse_polygon("1,2+1,1"))
+            # equal segments ahead of the distinct one do not hide the tie
+            with pytest.raises(InternalCheckError, match=tie):
+                minimal_abs(parse_polygon("1,2+1,2+1,1"))
             # equal segments may share values: they are told apart by segment
             assert len(minimal_abs(parse_polygon("1,1+1,1"))) == 4
         finally:
@@ -422,9 +425,13 @@ class TestAbsContainer:
         assert R._pos is not None
 
     def test_pi_must_be_bijection_on_symbols(self):
-        t, u = Symbol(1, 1, 0), Symbol(1, 2, 0)
+        t, u, v = Symbol(1, 1, 0), Symbol(1, 2, 0), Symbol(1, 3, 0)
         with pytest.raises(ValueError):
             ABS([t, u], {t: t, u: t})
+        # a symbol left out of pi, or one pi maps that is not in the order
+        for pi in ({t: u}, {t: u, u: t, v: v}):
+            with pytest.raises(ValueError, match="pi must be a bijection on exactly the ordered symbols"):
+                ABS([t, u], pi)
 
     def test_reordered_keeps_pi(self):
         S = minimal_abs_segment(1, 2)
