@@ -13,34 +13,42 @@ marker past a block of the order at every stage and tracking the sets
 empties; the final sequence is the full modification.  Its verdict is Generic
 when the length drops by exactly one.
 
-Both phases run one loop, ``_phase``, on integers, and ``full_modification``
-runs them in one pass.  A symbol's id is its 0-based position in the small
-modification's order.  The source sequence's id tables of pi, labels and
-segments (``sequences.id_tables``) are built once per sequence and kept with
-it; each cascade copies them and exchanges the two swapped positions, so no
-small-modification sequence is built.  The phase state is an order of ids
-plus the inverse array of positions, two lists that a move updates in place,
-only over the range it shifted; the B-phase goes on from the lists the
-A-phase left, and the cascade builds one trace at the end.  The split API
-reads that one pass: ``construction_a`` cuts its trace after stage a, and
-``construction_b`` completes such a partial trace by running the pass for
-its source and pair.  The marker steps along pi from the swapped symbol.
-A stage's move is steered by one member of its set, the last in the A-phase
-and the first in the B-phase, which is the member nearest the marker, so the phase scans
-outward from the marker and stops at the first member it meets; it never
-builds a whole set.  Each stage is recorded as a plain ``(kind, index,
-order, marker, exclude)`` tuple of ids, ``exclude`` being the segment an
-A-stage after A_0 leaves out.  ``ModificationTrace.result_type`` reads the
-labels of the final order, which is all ``boundary_set`` needs.  Every
-sequence a reader asks for is read straight off the ids, on first read and
-once: one helper, ``_view``, turns the small modification's symbols by id
-(the source's order with the two swapped positions exchanged), its pi table
-and an id order into an ``ABS``.  ``trace.stages`` holds a ``Stage`` per id
-tuple, whose marker and sequence read the same symbols and pi, and whose
-member set is read off its sequence, by the definition of A_n or B_n above,
-when first read.  A_0's order is the identity on ids, so ``trace.small`` is
-stage 0's sequence and ``trace.result`` the last stage's; no trace read
-calls ``small_modification``.
+One loop, ``_cascade``, runs both phases on integers: the A-phase, and, when
+its set empties, the B-phase on the same state.  A symbol's id is its
+0-based position in the small modification's order.  The source sequence's
+id tables of pi, labels and segments (``sequences.id_tables``) are built
+once per sequence and kept with it; each cascade copies them and exchanges
+the two swapped positions, so no small-modification sequence is built.  The
+state is an order of ids plus the inverse array of positions, two lists that
+each move updates in place, inlined in the loop and only over the range it
+shifted.  ``full_modification`` makes the one ``_cascade`` call and builds
+one trace.  The split API reads that one pass: ``construction_a`` cuts its
+trace after stage a, and ``construction_b`` completes such a partial trace
+by running the pass for its source and pair.  The marker steps along pi from
+the swapped symbol.  A stage's move is steered by one member of its set, the
+last in the A-phase and the first in the B-phase, which is the member
+nearest the marker, so each stage scans outward from the marker and stops at
+the first member it meets; it never builds a whole set.  The move carries
+the next marker, pi of this one, past pi of that member, and its
+precondition (the next marker strictly before that image in the A-phase,
+strictly after it in the B-phase) is the scan's own test: the next marker
+sits at the position the members' images are compared with.  Each stage is
+recorded as a plain ``(kind, index, order, marker, exclude)`` tuple of ids,
+``exclude`` being the segment an A-stage after A_0 leaves out.
+``ModificationTrace.result_type`` reads the labels of the final order, which
+is all ``boundary_set`` needs, and the verdict reads the result's length off
+the final positions: a 1 at 0-based position z has z minus the 1s before it
+0s before it, so with m 1s the length is the 1s' positions summed less
+m(m - 1)/2, and no label list is built.  Every sequence a reader asks
+for is read straight off the ids, on first read and once: one helper,
+``_view``, turns the small modification's symbols by id (the source's order
+with the two swapped positions exchanged), its pi table and an id order into
+an ``ABS``.  ``trace.stages`` holds a ``Stage`` per id tuple, whose marker
+and sequence read the same symbols and pi, and whose member set is read off
+its sequence, by the definition of A_n or B_n above, when first read.  A_0's
+order is the identity on ids, so ``trace.small`` is stage 0's sequence and
+``trace.result`` the last stage's; no trace read calls
+``small_modification``.
 
 The B-phase's never-empties verdict relies on the iteration being a
 deterministic map on (current order, stage index n mod p), p the length of
@@ -66,6 +74,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import mul
 
 from .errors import InternalCheckError, InvalidPair, PreconditionViolated
 from .newton import enumerate_polygons, parse_int, parse_polygon
@@ -78,7 +87,6 @@ from .sequences import (
     minimal_abs,
     render_ascii,
     to_binary_sequence,
-    word_length,
 )
 from .weyl import JWContext, Permutation, binary_to_jw, theta, x_element
 
@@ -294,22 +302,6 @@ def small_modification(S: ABS, pair: SmallModPair) -> ABS:
     return ABS._reordered(_swapped(S.order, i, j), range(len(S)), _swapped(S.arrows, i, j))
 
 
-def _move(order: list[int], pos: list[int], sym: int, target: int, after: bool) -> None:
-    """Move id sym to just after (A-phase) or just before (B-phase) id target.
-
-    Moving after inverts (sym, t') for every sym < t' <= target, moving before
-    every (t', sym) with target <= t' < sym; pos is rewritten on that range only.
-    """
-    i = pos[sym]
-    j = pos[target]
-    if not (i < j if after else j < i):
-        move, side = ("after", "before") if after else ("before", "after")
-        raise InternalCheckError(f"move-{move} expects id {sym} strictly {side} id {target}")
-    order.insert(j, order.pop(i))
-    for z in range(min(i, j), max(i, j) + 1):
-        pos[order[z]] = z
-
-
 def _inverse(order) -> list[int]:
     """Positions of the ids 0..h-1 in ``order``, a permutation of them: its inverse."""
     pos = [0] * len(order)
@@ -318,75 +310,79 @@ def _inverse(order) -> list[int]:
     return pos
 
 
-def _phase(
-    kind: str,
-    ids: tuple[list[int], list[int], list[int]],
-    first: int,
-    exclude: int | None,
-    order: list[int],
-    pos: list[int],
-) -> tuple[list[tuple], int | None]:
-    """Run the A- or B-phase on the live id ``order`` and its inverse ``pos``; ``first`` is the swapped symbol's id.
+def _cascade(
+    ids: tuple[list[int], ...], i: int, j: int, exclude: int | None
+) -> tuple[list[tuple], int, int | None, list[int]]:
+    """The A-phase from id ``j``, then the B-phase from id ``i``: one loop on one order and its positions.
 
-    ``ids`` are the pi, label and segment tables of the small modification.
-    ``order`` and ``pos`` are advanced in place, so the B-phase starts from
-    the state the A-phase left them in.  The A-phase drops members of
-    segment ``exclude`` from every set after A_0.  Only the member that
-    steers the move is looked for: the set's last member in the A-phase, the
-    first in the B-phase, so each stage scans outward from the marker
-    (backwards for A, forwards for B) and stops at the first id that passes
-    the set's test; none means the set is empty.  Returns the phase's stages
-    as ``(kind, n, order, marker, exclude)`` tuples (stage n holds the order
-    after the n-th move, the marker and the segment its set leaves out, None
-    for A_0 and the B-phase), from which ``Stage.member_ids`` reads the n-th
-    set when asked, and the index n of the set that emptied, or None when an
-    (order, marker) key repeated with a non-empty set, i.e. the phase never
-    empties.  Only the B-phase keeps those keys, so only it returns None: no
-    A-phase is known to cycle (see the module docstring), and either phase
-    raises ``InternalCheckError`` past h^2 stages.
+    ``ids`` are the small modification's pi, label and segment tables, and
+    ``i`` and ``j`` the ids of the swapped 1-symbol and 0-symbol.  The state
+    is the id ``order``, the identity at A_0, and its inverse ``pos``; when
+    the A-set empties at stage a, the loop goes on as the B-phase on the same
+    lists.  The A-phase leaves segment ``exclude`` out of every set after
+    A_0.  Each stage scans outward from the marker (backwards for A, forwards
+    for B) for the member that steers the move, the first id to pass the
+    set's test; none means the set is empty.  The move carries the next
+    marker, at position ``bound``, to just after (A) or before (B) that
+    member's image, which passed the test by sitting after (A) or before (B)
+    ``bound``; ``pos`` is rewritten over the shifted range only.
+
+    Returns the ``(kind, n, order, marker, exclude)`` stage tuples (stage n
+    holds the order after the phase's n-th move; ``exclude`` is None for A_0
+    and the B-phase), a and b, the indices of the sets that emptied, and the
+    final positions.  b is None when a B-phase (order, marker) key repeats
+    with a non-empty set: that B-phase never empties.  The A-phase keeps no
+    keys (see the module docstring); either phase raises
+    ``InternalCheckError`` past h^2 stages.
     """
     pi, label, segment = ids
-    a_phase = kind == "A"
-    h = len(order)
+    h = len(pi)
     cap = h**2
-
+    order = list(range(h))
+    pos = order.copy()
     stages = []
     seen = set()  # B-phase (order, marker) keys
-    n = 0
-    marker = first
-    skip = None  # A_0 takes no segment exclusion
+    kind, n, a, marker, skip = "A", 0, None, j, None  # A_0 takes no segment exclusion
     while True:
         following = pi[marker]
         lab = label[marker]
         bound = pos[following]
         key = tuple(order)
         stages.append((kind, n, key, marker, skip))
-        nearest = None
-        if a_phase:
+        if a is None:
             for z in range(pos[marker] - 1, -1, -1):
                 t = order[z]
                 if label[t] == lab and pos[pi[t]] > bound and segment[t] != skip:
-                    nearest = t
                     break
+            else:
+                # A_n is empty: the B-phase starts at beta_0, the 1-symbol
+                kind, n, a, marker, skip = "B", 0, n, i, None
+                continue
             skip = exclude
         else:
             for z in range(pos[marker] + 1, h):
                 t = order[z]
                 if label[t] == lab and pos[pi[t]] < bound:
-                    nearest = t
                     break
-        if nearest is None:
-            return stages, n
-        if not a_phase:
+            else:
+                return stages, a, n, pos
             state = (key, marker)
             if state in seen:
-                return stages, None
+                return stages, a, None, pos
             seen.add(state)
-        if len(stages) > cap:
+        if n >= cap:
             raise InternalCheckError(f"{kind}-phase exceeded the stage cap without a verdict")
         n += 1
         marker = following
-        _move(order, pos, marker, pi[nearest], after=a_phase)
+        target = pi[t]
+        there = pos[target]
+        if not (bound < there if a is None else there < bound):
+            move, side = ("after", "before") if a is None else ("before", "after")
+            raise InternalCheckError(f"move-{move} expects id {marker} strictly {side} id {target}")
+        order.insert(there, order.pop(bound))
+        lo, hi = (bound, there) if bound < there else (there, bound)
+        for z in range(lo, hi + 1):
+            pos[order[z]] = z
 
 
 def construction_a(source: ABS, pair: SmallModPair) -> ModificationTrace:
@@ -410,13 +406,19 @@ def construction_b(trace: ModificationTrace) -> ModificationTrace:
 
 
 def full_modification(S: ABS, pair: SmallModPair) -> ModificationTrace:
-    """Small modification, then the A- and B-phases in one pass; classifies the verdict.
+    """Small modification, then the A- and B-phases in one ``_cascade`` loop; classifies the verdict.
 
-    The only code that runs a cascade: the B-phase runs on the order and
-    positions the A-phase left, and one trace is built.  The split API
+    The only code that runs a cascade, in one call: the B-phase goes on from
+    the order and positions the A-phase left, each move inlined, and one
+    trace is built.  A move's precondition always holds, since it is the
+    scan's own test: the next marker sits where the steering member's image
+    was compared, strictly before it (A) or after it (B).  The split API
     (``construction_a`` then ``construction_b``) reads this pass.  The small
     modification's id tables are copies of ``S``'s cached ones with the two
-    swapped positions exchanged; no sequence is built.
+    swapped positions exchanged; no sequence is built.  The result's length
+    is read off the final positions: a 1 at 0-based position z has z minus
+    the 1s before it 0s before it, so with m 1s the length is
+    ``sum(label[t] * pos[t]) - m(m - 1)/2``.
 
     >>> from .newton import parse_polygon
     >>> from .sequences import minimal_abs
@@ -429,18 +431,15 @@ def full_modification(S: ABS, pair: SmallModPair) -> ModificationTrace:
     ids = tuple([list(table) for table in id_tables(S)])
     for table in ids:
         table[i], table[j] = table[j], table[i]
-    order = list(range(len(S)))
-    pos = order.copy()
     # the 0-symbol now sits at position j, so its id is j; the 1-symbol's is i
-    stages, a = _phase("A", ids, j, pair.one.segment, order, pos)
-    b_stages, b = _phase("B", ids, i, None, order, pos)
-    stages += b_stages
+    stages, a, b, pos = _cascade(ids, i, j, pair.one.segment)
     if b is None:
         verdict = NONGENERIC_B_NEVER_EMPTY
     else:
-        # the result's length, read off the labels of the last stage's order
+        label = ids[1]
+        m = sum(label)
         before = length(S)
-        after = word_length([ids[1][t] for t in order])
+        after = sum(map(mul, label, pos)) - m * (m - 1) // 2
         if before - after < 1:
             raise InternalCheckError(f"full modification raised the length ({before} -> {after})")
         verdict = GENERIC if before - after == 1 else NONGENERIC_LENGTH_DROP

@@ -8,6 +8,7 @@ import json
 import math
 import runpy
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,8 +31,8 @@ from stratabound.boundary import (
 )
 from stratabound.errors import DimensionMismatch, PreconditionViolated, VerificationFailure
 from stratabound.modification import parse_pair
-from stratabound.newton import NewtonPolygon, Segment, dual, enumerate_polygons, parse_polygon
-from stratabound.sequences import abs_from_binary_sequence, length, minimal_abs
+from stratabound.newton import NewtonPolygon, Segment, curtail, dual, enumerate_polygons, parse_polygon
+from stratabound.sequences import ABS, abs_from_binary_sequence, length, minimal_abs
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -318,6 +319,77 @@ class TestFailureReports:
             "witness": {"check": "covers_boundary", "missing": ["00011"]},
         }
 
+
+    # verify_curtailment's checks before the type map, each failed by one
+    # patched input on 0,1+3,5, whose two generic pairs have different types.
+    CURTAILED = "0,1+3,5"
+
+    def pin_curtailment_sets(self, monkeypatch):
+        # The real boundary sets of the polygon and its curtailment, read
+        # before any cascade is patched, so the cache never holds a patched set.
+        p = parse_polygon(self.CURTAILED)
+        sets = {q: boundary_set(q) for q in (p, curtail(p))}
+        monkeypatch.setattr(boundary, "boundary_set", sets.__getitem__)
+        return p
+
+    def patch_traces(self, monkeypatch, S, change):
+        # full_modification as before, except that traces of S go through ``change``.
+        real = boundary.full_modification
+
+        def patched(T, pair):
+            trace = real(T, pair)
+            return change(trace) if T == S else trace
+
+        monkeypatch.setattr(boundary, "full_modification", patched)
+
+    def curtailment_witness(self, p):
+        report = verify_curtailment(p)
+        assert report.status == "fail"
+        return report.witness["check"]
+
+    def test_curtailment_embedding_order(self, monkeypatch):
+        p = self.pin_curtailment_sets(monkeypatch)
+        monkeypatch.setattr(boundary, "_curtail_removed", lambda S: frozenset())
+        assert self.curtailment_witness(p) == "embedding_order"
+
+    def test_curtailment_embedding_pi(self, monkeypatch):
+        # the curtailed sequence keeps its order, with its arrows reversed
+        p = self.pin_curtailment_sets(monkeypatch)
+        R = minimal_abs(curtail(p))
+        other = ABS.from_arrows(R.order, R.arrows[::-1])
+        assert other != R
+        real = boundary.minimal_abs
+        monkeypatch.setattr(boundary, "minimal_abs", lambda q: other if q == curtail(p) else real(q))
+        assert self.curtailment_witness(p) == "embedding_pi"
+
+    def test_curtailment_pair_sets(self, monkeypatch):
+        # the curtailed sequence offers no pairs
+        p = self.pin_curtailment_sets(monkeypatch)
+        R = minimal_abs(curtail(p))
+        real = boundary.eligible_pairs
+        monkeypatch.setattr(boundary, "eligible_pairs", lambda S, adjacent_only: () if S == R else real(S, adjacent_only))
+        assert self.curtailment_witness(p) == "pair_sets"
+
+    def test_curtailment_verdict_agreement(self, monkeypatch):
+        p = self.pin_curtailment_sets(monkeypatch)
+        self.patch_traces(monkeypatch, minimal_abs(curtail(p)), lambda t: SimpleNamespace(verdict="stub"))
+        assert self.curtailment_witness(p) == "verdict_agreement"
+
+    def test_curtailment_restriction_matches(self, monkeypatch):
+        p = self.pin_curtailment_sets(monkeypatch)
+        self.patch_traces(
+            monkeypatch, minimal_abs(curtail(p)), lambda t: SimpleNamespace(verdict=t.verdict, result_type=())
+        )
+        assert self.curtailment_witness(p) == "restriction_matches"
+
+    def test_curtailment_well_defined(self, monkeypatch):
+        # Both generic traces of the original report one type, but their
+        # restrictions differ.
+        p = self.pin_curtailment_sets(monkeypatch)
+        self.patch_traces(
+            monkeypatch, minimal_abs(p), lambda t: SimpleNamespace(verdict=t.verdict, result_type=(), result=t.result)
+        )
+        assert self.curtailment_witness(p) == "well_defined"
 
 # SHA-256 of every report scripts/verify_suite.py produces at its default
 # heights (direct-sum h <= 10, curtailment and duality h <= 12), in the

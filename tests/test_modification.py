@@ -8,6 +8,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -28,9 +29,8 @@ from stratabound.modification import (
     NONGENERIC_LENGTH_DROP,
     CensusRow,
     SmallModPair,
+    _cascade,
     _inverse,
-    _move,
-    _phase,
     construction_a,
     construction_b,
     eligible_pairs,
@@ -52,6 +52,7 @@ from stratabound.sequences import (
     length,
     minimal_abs,
     to_binary_sequence,
+    word_length,
 )
 from stratabound.weyl import (
     JWContext,
@@ -202,24 +203,43 @@ class TestPhases:
         with pytest.raises(PreconditionViolated):
             construction_b(done)
 
-    def test_move_preconditions(self):
-        # ids 0 and 1 hold the first two positions: moving the second after the
-        # first, or the first before the second, is outside the move's contract.
-        S = minimal_abs(parse_polygon("2,5+3,2"))
-        first, second = 0, 1
-        order, pos = list(range(len(S))), list(range(len(S)))
-        with pytest.raises(InternalCheckError):
-            _move(order, pos, second, first, after=True)
-        with pytest.raises(InternalCheckError):
-            _move(order, pos, first, second, after=False)
-        assert order == pos == list(range(len(S)))
+    def test_every_move_meets_its_precondition_up_to_h9(self):
+        # Each move carries stage n + 1's marker, pi of stage n's, to just
+        # after (A) or just before (B) pi of the member that steers it, the
+        # last of A_n or the first of B_n.  Read off the recorded stages: the
+        # moved id sits strictly before (A) or after (B) that target in
+        # stage n's order, and stage n + 1's order is stage n's with that one
+        # move made.
+        moves = Counter()
+        for poly in enumerate_polygons(9):
+            S = minimal_abs(poly)
+            for pair in eligible_pairs(S):
+                trace = full_modification(S, pair)
+                pi = trace.ids[0]
+                for stage, nxt in zip(trace.stages, trace.stages[1:]):
+                    if nxt.kind != stage.kind:
+                        continue
+                    where = (str(poly), pair.spec, stage.kind, stage.index)
+                    sym = nxt.marker_id
+                    assert sym == pi[stage.marker_id], where
+                    members = stage.member_ids
+                    target = pi[members[-1] if stage.kind == "A" else members[0]]
+                    order = list(stage.order)
+                    here, there = order.index(sym), order.index(target)
+                    assert here < there if stage.kind == "A" else there < here, where
+                    order.remove(sym)
+                    order.insert(order.index(target) + (stage.kind == "A"), sym)
+                    assert tuple(order) == nxt.order, where
+                    moves[stage.kind] += 1
+        # every stage but each phase's first follows a move: 7118 A and 10236 B stages in 4054 traces
+        assert moves == {"A": 7118 - 4054, "B": 10236 - 4054}
 
     def test_a_phase_cycle_hits_the_stage_cap(self):
-        # Synthetic tables whose A-phase returns to its first state: the
-        # A-phase keeps no state set, so the h^2 cap is what stops it.
-        order, pos = [0, 1, 2], [0, 1, 2]
+        # Synthetic tables whose A-phase, started from id 1, returns to its
+        # first state: the A-phase keeps no state set, so the h^2 cap is what
+        # stops it.
         with pytest.raises(InternalCheckError, match="A-phase exceeded the stage cap"):
-            _phase("A", ([1, 0, 2], [1, 1, 0], [2, 2, 1]), 1, None, order, pos)
+            _cascade(([1, 0, 2], [1, 1, 0], [2, 2, 1]), 0, 1, None)
 
     def test_full_equals_a_then_b(self):
         S = minimal_abs(parse_polygon("2,7+3,5"))
@@ -638,6 +658,35 @@ class TestVerdicts:
             elif trace.verdict == NONGENERIC_LENGTH_DROP:
                 assert length(trace.source) - length(trace.result) >= 2
 
+    def test_positional_length_is_the_result_length_up_to_h10(self):
+        # full_modification reads the result's length off its final
+        # positions: a 1 at 0-based position z has z - (the 1s before it) 0s
+        # before it, so the length is the 1s' positions summed less
+        # 0 + 1 + ... + (m - 1).  Here against the result type's own count,
+        # and the verdict against the drop that count gives.
+        results = 0
+        for poly, pair, trace in all_traces(10):
+            if trace.b is None:
+                continue
+            where = (str(poly), pair.spec)
+            label, pos = trace.ids[1], _inverse(trace.id_stages[-1][2])
+            m = sum(label)
+            after = word_length(trace.result_type)
+            assert sum(map(mul, label, pos)) - m * (m - 1) // 2 == after, where
+            drop = length(trace.source) - after
+            assert trace.verdict == (GENERIC if drop == 1 else NONGENERIC_LENGTH_DROP), where
+            results += 1
+        assert results == 7629
+
+    def test_a_raised_length_is_an_internal_error(self, monkeypatch):
+        # No cascade raises the length; a source length that under-reports
+        # makes the result look longer, and the guard fires.
+        S = minimal_abs(parse_polygon("2,7+3,5"))
+        after = length(S) - 1  # this pair is generic
+        monkeypatch.setattr(modification, "length", lambda S: 0)
+        with pytest.raises(InternalCheckError, match=rf"full modification raised the length \(0 -> {after}\)"):
+            full_modification(S, parse_pair("0:1:4,1:2:2"))
+
     def test_never_empty_traces_cannot_reach_codimension_one(self):
         # If some order of the small modification reached l(S) - 1, the
         # cascade would have terminated; the sorted-order bound certifies it.
@@ -823,6 +872,20 @@ class TestWeylBridge:
         partial = construction_a(S, pair)
         with pytest.raises(PreconditionViolated):
             specialization_to_weyl(partial, JWContext(h=12, c=5))
+
+    def test_block_split_checked(self):
+        # A generic trace whose last order is reversed: its reorder
+        # permutation sends the block {1..d} onto the last d positions.
+        trace = make_trace(golden.POLYGON_12, golden.PAIR_12)
+        kind, n, order, marker, exclude = trace.id_stages[-1]
+        stages = trace.id_stages[:-1] + ((kind, n, order[::-1], marker, exclude),)
+        reversed_trace = modification.ModificationTrace(
+            trace.source, trace.pair, trace.swap, trace.ids, stages, trace.a, trace.b, trace.verdict
+        )
+        ctx = JWContext.for_polygon(parse_polygon(golden.POLYGON_12))
+        assert 0 < ctx.d < ctx.h
+        with pytest.raises(PreconditionViolated, match="does not preserve the block split"):
+            specialization_to_weyl(reversed_trace, ctx)
 
     def test_context_degree_checked(self):
         trace = make_trace(golden.POLYGON_12, golden.PAIR_12)

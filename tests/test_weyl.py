@@ -170,6 +170,12 @@ class TestRepresentatives:
                 got = {length: tuple(sorted(ws, key=lambda w: w.images)) for length, ws in got.items()}
                 assert got == {length: tuple(ws) for length, ws in expected.items()}, (h, c)
 
+    def test_context_bounds_checked(self):
+        for h, c in ((0, 0), (3, -1), (3, 4)):
+            with pytest.raises(DimensionMismatch, match=rf"need 0 <= c <= h with h >= 1, got h={h}, c={c}"):
+                JWContext(h=h, c=c)
+        assert JWContext(h=3, c=0).d == 3 and JWContext(h=3, c=3).d == 0
+
     def test_word_mismatch_errors(self):
         ctx = JWContext(h=3, c=1)
         with pytest.raises(DimensionMismatch):
@@ -239,6 +245,12 @@ class TestSpecializationOrder:
         ctx = JWContext(h=2, c=1)
         assert specializes(Permutation((1, 2)), Permutation((2, 1)), ctx)
         assert not specializes(Permutation((2, 1)), Permutation((1, 2)), ctx)
+
+    def test_degrees_must_equal_h(self):
+        ctx = JWContext(h=2, c=1)
+        for w_target, w in (((1, 2, 3), (2, 1)), ((1, 2), (2, 1, 3))):
+            with pytest.raises(DimensionMismatch, match="degrees must equal h=2"):
+                specializes(Permutation(w_target), Permutation(w), ctx)
 
     def test_downward_closed_in_bruhat(self):
         # If w' specializes to w, every representative below w' does too.
@@ -419,6 +431,13 @@ class TestCycleTypeOracle:
             _certificate(wp, _keyed_cycles(_times_x(wp, 1), 1), v, 1)
         e = (1, 2, 3)
         assert _certificate(e, _keyed_cycles(_times_x(e, 1), 1), e, 1) == e
+
+    def test_certificate_rejects_a_conjugator_that_does_not_carry(self):
+        # At c = 0 the cycles handed in are those of v x, not wp x: the keys
+        # agree pair by pair, but the u built from them does not carry wp to v.
+        wp, v = (2, 1), (1, 2)
+        with pytest.raises(InternalCheckError, match=r"the conjugator \(1, 2\) does not carry \(2, 1\) to \(1, 2\)"):
+            _certificate(wp, _keyed_cycles(_times_x(v, 0), 0), v, 0)
 
     def test_lemma_no_conjugate_is_shorter_h7(self):
         # l(u^{-1} w' theta(u)) >= l(w') for every w' in ^JW and u in W_J.
