@@ -17,7 +17,8 @@ but building a polygon checks their order on integers alone: since every
 segment height is at least 1, n_a/h_a < n_b/h_b exactly when
 n_a*h_b < n_b*h_a.  ``Segment`` and ``NewtonPolygon`` compute their hash
 once, at construction, with the value the dataclass would generate, so
-a memo lookup keyed by a polygon reads the stored hash.
+a memo lookup keyed by a polygon reads the stored hash.  A polygon's text,
+``str(p)``, is formatted on its first use and kept.
 
 >>> str(phi(parse_polygon("2,7+3,5"))[0])
 '2,5+3,2'
@@ -112,7 +113,14 @@ class NewtonPolygon:
         return self.segments[i - 1].slope
 
     def __str__(self):
-        return "+".join(str(s) for s in self.segments)
+        # Kept as an attribute, like _hash.  Not a cached_property: reading
+        # self.__dict__ builds a dict object per polygon, one more young
+        # object for the garbage collector to count.
+        text = getattr(self, "_text", None)
+        if text is None:
+            text = "+".join(str(s) for s in self.segments)
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 def validate(pairs) -> NewtonPolygon:

@@ -275,6 +275,16 @@ class TestText:
             assert repr(p) == f"NewtonPolygon(segments={p.segments!r})"
         assert polygons == 983
 
+    def test_text_is_formatted_once_up_to_h12(self):
+        polygons = 0
+        for p in enumerate_polygons(12):
+            polygons += 1
+            text = str(p)
+            assert text == "+".join(f"{s.m},{s.n}" for s in p.segments)
+            assert parse_polygon(text) == p
+            assert str(p) is text
+        assert polygons == 2679
+
 
 class TestJson:
     @given(polygons())

@@ -48,6 +48,12 @@ class TestSymbols:
     def test_token_format(self):
         assert Symbol(2, 7, 0).token == "0^2_7"
 
+    def test_token_is_kept_and_changes_nothing_else(self):
+        t = Symbol(2, 7, 0)
+        assert t.token is t.token
+        fresh = Symbol(2, 7, 0)
+        assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh) == "0^2_7"
+
     def test_label_validated(self):
         with pytest.raises(ValueError):
             Symbol(1, 1, 2)
@@ -356,6 +362,34 @@ class TestMinimalAbsCache:
 
     def test_bound_is_the_module_constant(self):
         assert minimal_abs.cache_info().maxsize == sequences.MINIMAL_ABS_CACHE_SIZE
+
+
+class TestSegmentTables:
+    def test_sequences_share_the_symbols_of_a_segment_slot(self):
+        # Read through __wrapped__, so neither sequence comes from the memo of
+        # minimal_abs, which may predate a clear of the segment tables.
+        first = minimal_abs.__wrapped__(parse_polygon("1,2+2,1"))
+        second = minimal_abs.__wrapped__(parse_polygon("1,2+3,1"))
+        slot = [sorted((t for t in S.order if t.segment == 1), key=lambda t: t.position) for S in (first, second)]
+        assert len(slot[0]) == 3
+        assert all(a is b for a, b in zip(*slot, strict=True))
+
+    def test_parts_are_tuples(self):
+        symbols, arrows = sequences._segment_parts(2, 7, 1)
+        assert type(symbols) is tuple and type(arrows) is tuple
+        assert sequences._segment_parts(2, 7, 1)[0] is symbols
+        assert minimal_abs_segment(2, 7).order is symbols
+
+    def test_cold_tables_give_the_warm_sequence_up_to_h12(self):
+        polygons = 0
+        for poly in enumerate_polygons(12):
+            polygons += 1
+            sequences._segment_parts.cache_clear()
+            cold = minimal_abs.__wrapped__(poly)
+            warm = minimal_abs.__wrapped__(poly)
+            assert cold.order == warm.order and cold.arrows == warm.arrows, str(poly)
+            assert hash(cold) == hash(warm)
+        assert polygons == 2679
 
 
 class TestCanonicalBinarySequence:
