@@ -5,15 +5,12 @@ from .sequences import (
     ABS,
     Symbol,
     abs_from_binary_sequence,
-    binary_expansion,
-    direct_sum,
-    is_admissible,
     length,
     minimal_abs,
     minimal_abs_segment,
     to_binary_sequence,
 )
-from .weyl import JWContext, Permutation, binary_to_jw, bruhat_leq, coxeter_length, jw_elements, jw_to_binary, specializes
+from .weyl import JWContext, Permutation, binary_to_jw, coxeter_length, jw_elements, jw_to_binary, specializes
 from .modification import (
     CensusRow,
     ModificationTrace,
@@ -50,20 +47,16 @@ __all__ = [
     "SmallModPair",
     "Symbol",
     "abs_from_binary_sequence",
-    "binary_expansion",
     "binary_to_jw",
     "boundary_set",
     "boundary_set_oracle",
-    "bruhat_leq",
     "construction_a",
     "construction_b",
     "coxeter_length",
     "curtail",
-    "direct_sum",
     "dual",
     "eligible_pairs",
     "full_modification",
-    "is_admissible",
     "jw_elements",
     "jw_to_binary",
     "length",

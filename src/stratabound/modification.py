@@ -256,12 +256,6 @@ class ModificationTrace:
     def b_stages(self) -> tuple[Stage, ...]:
         return tuple(s for s in self.stages if s.kind == "B")
 
-    def a_sets(self) -> dict[int, frozenset[Symbol]]:
-        return {s.index: frozenset(s.members) for s in self.stages if s.kind == "A"}
-
-    def b_sets(self) -> dict[int, frozenset[Symbol]]:
-        return {s.index: frozenset(s.members) for s in self.stages if s.kind == "B"}
-
 
 def _view(symbols, pi, order) -> ABS:
     """The sequence of the ids ``order`` over ``symbols[t]``, whose pi by id is ``pi``.
@@ -374,11 +368,7 @@ def _cascade(
             raise InternalCheckError(f"{kind}-phase exceeded the stage cap without a verdict")
         n += 1
         marker = following
-        target = pi[t]
-        there = pos[target]
-        if not (bound < there if a is None else there < bound):
-            move, side = ("after", "before") if a is None else ("before", "after")
-            raise InternalCheckError(f"move-{move} expects id {marker} strictly {side} id {target}")
+        there = pos[pi[t]]
         order.insert(there, order.pop(bound))
         lo, hi = (bound, there) if bound < there else (there, bound)
         for z in range(lo, hi + 1):
@@ -410,9 +400,9 @@ def full_modification(S: ABS, pair: SmallModPair) -> ModificationTrace:
 
     The only code that runs a cascade, in one call: the B-phase goes on from
     the order and positions the A-phase left, each move inlined, and one
-    trace is built.  A move's precondition always holds, since it is the
-    scan's own test: the next marker sits where the steering member's image
-    was compared, strictly before it (A) or after it (B).  The split API
+    trace is built.  A move's precondition is not checked again: it is the
+    scan's own test, since the next marker sits where the steering member's
+    image was compared, strictly before it (A) or after it (B).  The split API
     (``construction_a`` then ``construction_b``) reads this pass.  The small
     modification's id tables are copies of ``S``'s cached ones with the two
     swapped positions exchanged; no sequence is built.  The result's length

@@ -19,24 +19,24 @@ its arrows (i - m - 1) mod (m+n) + 1 are that word's canonical arrows, so
 their expansion words agree too.  The expansion words of a word's canonical
 sequence are computed once per word per process, and serve both the merge
 of a polygon's segments in ``minimal_abs`` and ``direct_sum_type(types)``,
-which takes the summands as plain 0/1 words.  That merge, ``direct_sum`` and
-``direct_sum_type`` take their order from one routine, ``_merge_order``: it
-sorts exact integer keys, the first K bits of each value's expansion, K the
-sum of the distinct expansion periods (the segment heights, or the summands'
-orbit lengths), so no ``Fraction`` is built or compared; ``direct_sum_type``
-reads only the merged labels and builds no sequence.  A segment's own
-symbols and arrows depend only on (m, n) and its slot, so each such table is
-built once per process and every minimal sequence with that segment in that
-slot shares its ``Symbol`` objects: 83 tables serve every polygon at h <= 8,
-145 at h <= 10, 235 at h <= 12 and 359 at h <= 14.  ``minimal_abs`` is
-memoized per polygon, bounded at ``MINIMAL_ABS_CACHE_SIZE`` (64) polygons,
-so the oracle reads the sequence the combinatorial side just built.
+which takes the summands as plain 0/1 words.  Both take their order from
+one routine, ``_merge_order``: it sorts exact integer keys, the first K bits
+of each value's expansion, K the sum of the distinct expansion periods (the
+segment heights, or the summands' orbit lengths), so no ``Fraction`` is
+built or compared; ``direct_sum_type`` reads only the merged labels and
+builds no sequence.  A segment's own symbols and arrows depend only on
+(m, n) and its slot, so each such table is built once per process and
+every minimal sequence with that segment in that slot shares its ``Symbol``
+objects: 83 tables serve every polygon at h <= 8, 145 at h <= 10, 235 at
+h <= 12 and 359 at h <= 14.  ``minimal_abs`` is memoized per polygon,
+bounded at ``MINIMAL_ABS_CACHE_SIZE`` (64) polygons, so the oracle reads
+the sequence the combinatorial side just built.
 
 >>> S = minimal_abs_segment(1, 2)
 >>> [t.token for t in S.order]
 ['1^1_1', '0^1_2', '0^1_3']
->>> binary_expansion(S, S.order[0]).value
-Fraction(1, 7)
+>>> _canonical_words((1, 0, 0))[0]  # the value 1/7 of the first symbol
+(1, 7)
 """
 
 from __future__ import annotations
@@ -77,22 +77,6 @@ class Symbol:
 
     def __repr__(self):
         return self.token
-
-
-@dataclass(frozen=True)
-class BinaryExpansion:
-    """Periodic expansion word of one symbol; value is the exact rational."""
-
-    bits: tuple[int, ...]
-
-    @property
-    def period(self) -> int:
-        return len(self.bits)
-
-    @cached_property
-    def value(self) -> Fraction:
-        p = self.period
-        return Fraction(int("".join(map(str, self.bits)), 2) if p else 0, 2**p - 1)
 
 
 class ABS:
@@ -179,12 +163,6 @@ class ABS:
         except KeyError:
             raise SymbolNotInSequence(f"{t!r} is not in this sequence") from None
 
-    def symbol_at(self, z: int) -> Symbol:
-        return self.order[z - 1]
-
-    def delta(self, t: Symbol) -> int:
-        return self.order[self.position(t) - 1].label
-
     def pi(self, t: Symbol) -> Symbol:
         return self.order[self.arrows[self.position(t) - 1] - 1]
 
@@ -231,16 +209,6 @@ def _segment_parts(m: int, n: int, segment: int) -> tuple[tuple[Symbol, ...], tu
     return tuple([Symbol(segment, i, b) for i, b in enumerate(word, start=1)]), tuple(canonical_arrows(word))
 
 
-def binary_expansion(S: ABS, t: Symbol) -> BinaryExpansion:
-    """Expansion word b_i = delta(pi^{-i}(t)) over one full pi-orbit of t.
-
-    Read off the integer word ``_expansion_words`` gives t: its p bits, p the
-    orbit length.
-    """
-    word, den = _expansion_words(to_binary_sequence(S), S.arrows)[S.position(t) - 1]
-    return BinaryExpansion(tuple(word >> k & 1 for k in reversed(range(den.bit_length()))))
-
-
 def length(S: ABS) -> int:
     """Number of pairs with a 0-labelled symbol ordered before a 1-labelled one.
 
@@ -283,29 +251,13 @@ def word_length(word) -> int:
     return total
 
 
-def direct_sum(*summands: ABS) -> ABS:
-    """Merge disjoint sequences, ordered by (expansion value, summand, position).
-
-    The expansion of a symbol is unchanged by the merge (pi stays within each
-    summand), and pi is compatible with the merged order because
-    b(pi(t)) = (delta(t) + b(t)) / 2 is monotone in the sort key.  The order
-    is ``_merge_order`` of each summand's ``_expansion_words``.
-
-    >>> S = direct_sum(minimal_abs_segment(1, 1, 1), minimal_abs_segment(1, 1, 2))
-    >>> [t.token for t in S.order]
-    ['1^1_1', '1^2_1', '0^1_2', '0^2_2']
-    """
-    parts = [(S.order, S.arrows) for S in summands]
-    return _merge(parts, _merge_order([_expansion_words([t.label for t in order], arrows) for order, arrows in parts]))
-
-
 def direct_sum_type(types) -> tuple[int, ...]:
     """The type of the direct sum of the canonical sequences of the 0/1 words ``types``.
 
-    The same order as ``direct_sum``, ``_merge_order`` of each word's
-    ``_canonical_words``, but only the labels are read along it: no sequence
-    is built.  The word 1^m 0^n stands for the minimal sequence of the
-    segment (m, n), which is its canonical sequence.
+    The order is ``_merge_order`` of each word's ``_canonical_words``, and
+    only the labels are read along it: no sequence is built.  The word
+    1^m 0^n stands for the minimal sequence of the segment (m, n), which is
+    its canonical sequence.
 
     >>> direct_sum_type([(1, 0), (1, 0)])
     (1, 1, 0, 0)
@@ -387,8 +339,9 @@ def _merge_order(words) -> list[tuple[int, int, int]]:
 
 def _merge(parts, merged) -> ABS:
     # parts[k] is the (order, arrows) of summand k and merged the
-    # _merge_order of their symbols; a symbol shared by two summands shows
-    # up as a repeat in the merged order.
+    # _merge_order of their symbols.  Only minimal_abs calls it, on segment
+    # tables of distinct slots, so no symbol repeats; from_arrows's repeat
+    # check stays as the guard.
     where = [[0] * len(order) for order, _ in parts]
     for z, (_, k, idx) in enumerate(merged, start=1):
         where[k][idx] = z
@@ -473,15 +426,6 @@ def canonical_arrows(nu) -> list[int]:
         seen[b] += 1
         arrows.append(seen[b])
     return arrows
-
-
-def is_admissible(S: ABS) -> bool:
-    """True when pi, read as a position permutation, is the canonical one of the type.
-
-    >>> is_admissible(minimal_abs_segment(2, 7))
-    True
-    """
-    return list(S.arrows) == canonical_arrows(to_binary_sequence(S))
 
 
 def render_ascii(S: ABS) -> str:

@@ -154,35 +154,6 @@ def coxeter_length(w: Permutation) -> int:
     return sum(1 for i in range(len(img)) for j in range(i + 1, len(img)) if img[i] > img[j])
 
 
-def _dominance_leq(v: tuple[int, ...], w: tuple[int, ...]) -> bool:
-    # v <= w iff for all i, j: #{a <= i : v(a) >= j} <= #{a <= i : w(a) >= j}
-    h = len(v)
-    av = [0] * (h + 1)
-    aw = [0] * (h + 1)
-    for i in range(h):
-        for j in range(1, v[i] + 1):
-            av[j] += 1
-        for j in range(1, w[i] + 1):
-            aw[j] += 1
-        for j in range(1, h + 1):
-            if av[j] > aw[j]:
-                return False
-    return True
-
-
-def bruhat_leq(v: Permutation, w: Permutation) -> bool:
-    """Bruhat order via the prefix-count (dominance) criterion.
-
-    >>> bruhat_leq(Permutation.identity(3), Permutation((3, 2, 1)))
-    True
-    >>> bruhat_leq(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
-    False
-    """
-    if v.degree != w.degree:
-        raise DimensionMismatch(f"degrees {v.degree} and {w.degree} differ")
-    return _dominance_leq(v.images, w.images)
-
-
 def binary_to_jw(nu, ctx: JWContext) -> Permutation:
     """Word to representative: 1-positions get 1..c, 0-positions get c+1..h.
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from stratabound.newton import NewtonPolygon, Segment, validate
+from stratabound.sequences import _expansion_words, to_binary_sequence
 
 # ---------------------------------------------------------------------------
 # Acceptance criteria reporting: each acceptance test records its outcome so
@@ -32,6 +33,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f" [{detail}]"
         terminalreporter.write_line(line)
+
+
+def expansion_values(S) -> list[Fraction]:
+    """The exact expansion value of the symbol at each position of S, read off the library's integer words."""
+    return [Fraction(w, den) for w, den in _expansion_words(to_binary_sequence(S), S.arrows)]
 
 
 # ---------------------------------------------------------------------------

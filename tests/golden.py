@@ -22,6 +22,11 @@ def tokens(row: str) -> tuple[str, ...]:
     return tuple(row.split())
 
 
+def phase_sets(trace, kind: str) -> dict:
+    """A trace's stage sets of one phase ("A" or "B"): each stage index mapped to its members."""
+    return {s.index: frozenset(s.members) for s in trace.stages if s.kind == kind}
+
+
 # --------------------------------------------------------------------------
 # 17-symbol case: polygon 2,7+3,5, modification pair (0^1_4, 1^2_2)
 # --------------------------------------------------------------------------

@@ -16,9 +16,10 @@
 * The expansion-sorted length bound used to certify never-empty cascades.
 * ``reordered``: the same symbols and bijection in a new order, through a
   symbol-keyed mapping.
-* Binary expansions by walking pi^{-1} symbol by symbol over one orbit.  The
-  library reads them off integer words, one walk per orbit
-  (``_expansion_words``).
+* Binary expansions by walking pi^{-1} symbol by symbol over one orbit,
+  each kept as a ``BinaryExpansion`` (its period bits and their exact
+  ``Fraction`` value).  The library reads them off integer words, one walk
+  per orbit (``_expansion_words``).
 * A segment's expansion words straight from (m, n): pi^{-1} shifts
   positions by m.  The library takes the expansion words of the canonical
   sequence of the word 1^m 0^n (``_canonical_words``).
@@ -34,8 +35,11 @@
   give the same answer.
 * The block subgroup W_J itself (``parabolic_elements``), guarded by a cap
   on |W_J| = c! d!.
-* Bruhat order by walking cover relations down from w, against the
-  library's dominance criterion.
+* Bruhat order by the prefix-count (dominance) criterion (``bruhat_leq``),
+  which the full-scan specialization test applies to each conjugate, and
+  Bruhat order by walking cover relations down from w, which checks it.
+  The library decides specialization by coloured cycle types and needs no
+  Bruhat order.
 * The duality map on types by permutation conjugation: the word's
   representative w is conjugated by i -> l - i (l = h + 1) and read back as
   a word of the dual context.  The library reverses and flips the word.
@@ -63,7 +67,8 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cmp_to_key, lru_cache
+from fractions import Fraction
+from functools import cached_property, cmp_to_key, lru_cache
 
 from stratabound.errors import (
     ContextTooLarge,
@@ -81,7 +86,6 @@ from stratabound.modification import (
 from stratabound.newton import NewtonPolygon
 from stratabound.sequences import (
     ABS,
-    BinaryExpansion,
     Symbol,
     _cycle_words,
     length,
@@ -91,7 +95,6 @@ from stratabound.sequences import (
 from stratabound.weyl import (
     JWContext,
     Permutation,
-    _dominance_leq,
     _times_x,
     binary_to_jw,
     coxeter_length,
@@ -108,6 +111,22 @@ NONGENERIC_A_NEVER_EMPTY = "NonGenericANeverEmpty"
 def reordered(S: ABS, order) -> ABS:
     """Same symbols and bijection, new order."""
     return ABS(order, {t: S.pi(t) for t in S.order})
+
+
+@dataclass(frozen=True)
+class BinaryExpansion:
+    """Periodic expansion word of one symbol; value is the exact rational."""
+
+    bits: tuple[int, ...]
+
+    @property
+    def period(self) -> int:
+        return len(self.bits)
+
+    @cached_property
+    def value(self) -> Fraction:
+        p = self.period
+        return Fraction(int("".join(map(str, self.bits)), 2) if p else 0, 2**p - 1)
 
 
 def expansion_by_orbit_walk(S: ABS, t: Symbol) -> BinaryExpansion:
@@ -452,6 +471,29 @@ def specializes_bruteforce(w_target: Permutation, w: Permutation, ctx: JWContext
         if _dominance_leq(candidate, w.images):
             return True
     return False
+
+
+def _dominance_leq(v: tuple[int, ...], w: tuple[int, ...]) -> bool:
+    # v <= w iff for all i, j: #{a <= i : v(a) >= j} <= #{a <= i : w(a) >= j}
+    h = len(v)
+    av = [0] * (h + 1)
+    aw = [0] * (h + 1)
+    for i in range(h):
+        for j in range(1, v[i] + 1):
+            av[j] += 1
+        for j in range(1, w[i] + 1):
+            aw[j] += 1
+        for j in range(1, h + 1):
+            if av[j] > aw[j]:
+                return False
+    return True
+
+
+def bruhat_leq(v: Permutation, w: Permutation) -> bool:
+    """Bruhat order via the prefix-count (dominance) criterion."""
+    if v.degree != w.degree:
+        raise DimensionMismatch(f"degrees {v.degree} and {w.degree} differ")
+    return _dominance_leq(v.images, w.images)
 
 
 def bruhat_leq_by_covers(v: Permutation, w: Permutation) -> bool:

@@ -82,8 +82,8 @@ def test_criterion_2_traces():
     trace = full_modification(
         minimal_abs(parse_polygon(golden.POLYGON_17)), parse_pair(golden.PAIR_17)
     )
-    a_sets = {n: {t.token for t in m} for n, m in trace.a_sets().items()}
-    b_sets = {n: {t.token for t in m} for n, m in trace.b_sets().items()}
+    a_sets = {n: {t.token for t in m} for n, m in golden.phase_sets(trace, "A").items()}
+    b_sets = {n: {t.token for t in m} for n, m in golden.phase_sets(trace, "B").items()}
     assert a_sets == {0: {"0^1_5"}, 1: set()}
     # B_1 holds the member 0^2_6, which the stage moves past its marker 0^2_7;
     # a stage set can never contain its own marker, because members must sit
@@ -108,7 +108,7 @@ def test_criterion_2_traces():
         minimal_abs(parse_polygon(golden.POLYGON_20)), parse_pair(golden.PAIR_20)
     )
     assert trace.a == 1
-    b_sets = {n: {t.token for t in m} for n, m in trace.b_sets().items()}
+    b_sets = {n: {t.token for t in m} for n, m in golden.phase_sets(trace, "B").items()}
     assert b_sets == {
         0: {"1^2_1", "1^3_1"},
         1: {"0^2_3", "0^3_6"},

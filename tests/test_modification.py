@@ -14,12 +14,13 @@ import pytest
 
 import golden
 import reference
-from conftest import tall_random_polygons
+from conftest import expansion_values, tall_random_polygons
 from stratabound import boundary, modification
 from reference import (
     NONGENERIC_A_NEVER_EMPTY,
     a_members_from_previous,
     b_members_from_previous,
+    bruhat_leq,
     expansion_sorted_length_bound,
 )
 from stratabound.errors import ContextTooLarge, InternalCheckError, InvalidPair, PreconditionViolated
@@ -46,9 +47,8 @@ from stratabound.newton import enumerate_polygons, parse_polygon, validate
 from stratabound.sequences import (
     ABS,
     Symbol,
-    binary_expansion,
+    canonical_arrows,
     id_tables,
-    is_admissible,
     length,
     minimal_abs,
     to_binary_sequence,
@@ -58,7 +58,6 @@ from stratabound.weyl import (
     JWContext,
     Permutation,
     binary_to_jw,
-    bruhat_leq,
     coxeter_length,
     specializes,
     theta,
@@ -98,9 +97,9 @@ def check_golden_trace(spec: dict):
     for k, row in spec["stage_orders"].items():
         assert_stage_sequence(world[k].sequence, row, spec["stage_arrows"][k])
 
-    a_sets = {n: {t.token for t in members} for n, members in trace.a_sets().items()}
+    a_sets = {n: {t.token for t in members} for n, members in golden.phase_sets(trace, "A").items()}
     assert a_sets == {n: set(v) for n, v in spec["a_sets"].items()}
-    b_sets = {n: {t.token for t in members} for n, members in trace.b_sets().items()}
+    b_sets = {n: {t.token for t in members} for n, members in golden.phase_sets(trace, "B").items()}
     assert b_sets == {n: set(v) for n, v in spec["b_sets"].items()}
     for n, token in spec["b_markers"].items():
         (stage,) = [s for s in trace.b_stages() if s.index == n]
@@ -764,8 +763,8 @@ class TestResultContracts:
         for _poly, _pair, trace in all_traces(7):
             if trace.result is None:
                 continue
-            assert is_admissible(trace.result)
-            values = [binary_expansion(trace.result, t).value for t in trace.result.order]
+            assert list(trace.result.arrows) == canonical_arrows(to_binary_sequence(trace.result))
+            values = expansion_values(trace.result)
             assert all(x <= y for x, y in zip(values, values[1:]))
 
     def test_result_keeps_symbol_set(self):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from conftest import binary_words, polygons
+from conftest import binary_words, expansion_values, polygons
 from reference import (
     direct_sum_by_expansions,
     expansion_by_orbit_walk,
@@ -28,10 +28,7 @@ from stratabound.sequences import (
     abs_from_binary_sequence,
     abs_from_json,
     abs_to_json,
-    binary_expansion,
     canonical_arrows,
-    direct_sum,
-    is_admissible,
     length,
     minimal_abs,
     minimal_abs_segment,
@@ -42,6 +39,17 @@ from stratabound.sequences import (
 
 def token_row(S: ABS) -> tuple[str, ...]:
     return tuple(t.token for t in S.order)
+
+
+def library_sum(*summands: ABS) -> ABS:
+    """The direct sum as ``minimal_abs`` merges it: ``_merge`` along ``_merge_order`` of each summand's expansion words."""
+    words = [sequences._expansion_words(to_binary_sequence(S), S.arrows) for S in summands]
+    return sequences._merge([(S.order, S.arrows) for S in summands], sequences._merge_order(words))
+
+
+def is_canonical(S: ABS) -> bool:
+    """True when S's arrows are the canonical arrows of its type (S is admissible)."""
+    return list(S.arrows) == canonical_arrows(to_binary_sequence(S))
 
 
 class TestSymbols:
@@ -95,21 +103,20 @@ class TestMinimalSegment:
 class TestExpansion:
     def test_values_for_one_two(self):
         S = minimal_abs_segment(1, 2)
-        values = [binary_expansion(S, t).value for t in S.order]
-        assert values == [Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)]
+        assert expansion_values(S) == [Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)]
 
     def test_shift_law(self):
         # b(pi(t)) = (delta(t) + b(t)) / 2 for every symbol.
         for poly in ("2,7+3,5", "1,2+1,1", "2,5+3,2"):
             S = minimal_abs(parse_polygon(poly))
-            for t in S.order:
-                b = binary_expansion(S, t).value
-                assert binary_expansion(S, S.pi(t)).value == (t.label + b) / 2
+            values = expansion_values(S)
+            for z, t in enumerate(S.order):
+                assert values[S.arrows[z] - 1] == (t.label + values[z]) / 2
 
     def test_order_is_nondecreasing_in_expansion(self):
         for poly in enumerate_polygons(8):
             S = minimal_abs(poly)
-            values = [binary_expansion(S, t).value for t in S.order]
+            values = expansion_values(S)
             assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_same_label_symbols_keep_arrow_order(self):
@@ -125,14 +132,15 @@ class TestExpansion:
         for poly in enumerate_polygons(8):
             S = minimal_abs(poly)
             walked = [expansion_by_orbit_walk(S, t) for t in S.order]
-            values = [Fraction(word, den) for word, den in sequences._expansion_words(to_binary_sequence(S), S.arrows)]
-            assert values == [e.value for e in walked]
-            assert [binary_expansion(S, t) for t in S.order] == walked
+            assert expansion_values(S) == [e.value for e in walked]
+            # the same words and periods, not only the same values
+            words = sequences._expansion_words(to_binary_sequence(S), S.arrows)
+            assert words == [(int("".join(map(str, e.bits)), 2), 2**e.period - 1) for e in walked]
 
     def test_distinct_expansions_sort_with_the_order(self):
         for poly in enumerate_polygons(8):
             S = minimal_abs(poly)
-            pairs = [(binary_expansion(S, t).value, S.position(t)) for t in S.order]
+            pairs = [(value, z) for z, value in enumerate(expansion_values(S), start=1)]
             for (bv, pv), (bw, pw) in itertools.combinations(pairs, 2):
                 if bv != bw:
                     assert (bv < bw) == (pv < pw)
@@ -158,35 +166,47 @@ class TestSegmentIsCanonical:
             assert sequences._canonical_words((1,) * m + (0,) * n) == tuple((word, den) for word in words), (m, n)
 
     def test_direct_sum_type_is_the_type_of_the_direct_sum(self):
+        # The reference orders a direct sum by (Fraction value, summand,
+        # position).  Each canonical summand is walked once here and its
+        # values ranked once over all summands, so every sum sorts integer
+        # ranks in that same order; the pairs are also summed by the
+        # reference itself.
         words = [w for k in range(1, 5) for w in itertools.product((0, 1), repeat=k)]
         canonical = {
             (w, k): ABS.from_arrows([Symbol(k, i, b) for i, b in enumerate(w, start=1)], canonical_arrows(w))
             for w in words
             for k in (1, 2, 3)
         }
+        values = {w: [expansion_by_orbit_walk(T, t).value for t in T.order] for (w, k), T in canonical.items() if k == 1}
+        rank = {v: r for r, v in enumerate(sorted({v for vs in values.values() for v in vs}))}
+        keyed = {w: [(rank[v], z, b) for z, (v, b) in enumerate(zip(values[w], w))] for w in words}
         sums = 0
         for r in (2, 3):
             for types in itertools.product(words, repeat=r):
-                S = direct_sum(*(canonical[w, k] for k, w in enumerate(types, start=1)))
-                assert sequences.direct_sum_type(types) == to_binary_sequence(S), types
+                merged = sorted((key, k, z, b) for k, w in enumerate(types) for key, z, b in keyed[w])
+                expected = tuple([b for *_, b in merged])
+                assert sequences.direct_sum_type(types) == expected, types
+                if r == 2:
+                    S = direct_sum_by_expansions(*(canonical[w, k] for k, w in enumerate(types, start=1)))
+                    assert to_binary_sequence(S) == expected, types
                 sums += 1
         assert sums == 30**2 + 30**3
 
 
 class TestDirectSum:
     def test_equal_segments_tie_break_by_slot(self):
-        S = direct_sum(minimal_abs_segment(1, 1, 1), minimal_abs_segment(1, 1, 2))
+        S = library_sum(minimal_abs_segment(1, 1, 1), minimal_abs_segment(1, 1, 2))
         assert token_row(S) == ("1^1_1", "1^2_1", "0^1_2", "0^2_2")
 
     def test_disjointness_enforced(self):
         S = minimal_abs_segment(1, 1, 1)
         with pytest.raises(ValueError):
-            direct_sum(S, minimal_abs_segment(1, 1, 1))
+            library_sum(S, minimal_abs_segment(1, 1, 1))
 
     def test_direct_sum_of_segments_equals_minimal_abs(self):
         for poly in enumerate_polygons(10, min_z=2):
             summands = [minimal_abs_segment(seg.m, seg.n, k) for k, seg in enumerate(poly.segments, start=1)]
-            assert direct_sum(*summands) == minimal_abs(poly), str(poly)
+            assert direct_sum_by_expansions(*summands) == minimal_abs(poly), str(poly)
 
     def test_equals_expansion_reference_on_verify_direct_sum_summands(self):
         # Every element verify_direct_sum maps at h <= 10: a boundary type of
@@ -203,7 +223,7 @@ class TestDirectSum:
                 i = int(slot)
                 summands = [minimal_abs_segment(s.m, s.n, segment=k) for k, s in enumerate(segs, start=1)]
                 summands[i - 1 : i + 1] = [abs_from_binary_sequence(tuple(map(int, word)))]
-                S = direct_sum(*summands)
+                S = library_sum(*summands)
                 R = direct_sum_by_expansions(*summands)
                 assert S == R and hash(S) == hash(R), summands
                 assert "".join(map(str, to_binary_sequence(S))) == image, (str(poly), tag)
@@ -224,7 +244,7 @@ class TestDirectSum:
                     (T, minimal_abs_segment(1, 2, 1)),
                     (minimal_abs_segment(2, 1, 1), T, minimal_abs_segment(1, 1, 2), minimal_abs_segment(3, 2, 3)),
                 ):
-                    S = direct_sum(*summands)
+                    S = library_sum(*summands)
                     R = direct_sum_by_expansions(*summands)
                     assert S == R and hash(S) == hash(R), (word, summands)
         assert mixed > 100
@@ -310,7 +330,7 @@ class TestMinimalAbs:
 
     def test_minimal_abs_is_admissible(self):
         for poly in enumerate_polygons(8):
-            assert is_admissible(minimal_abs(poly))
+            assert is_canonical(minimal_abs(poly))
 
     def test_separated_two_segment_closed_form(self):
         # For lambda_2 < 1/2 < lambda_1 the minimal order is the explicit
@@ -401,7 +421,7 @@ class TestCanonicalBinarySequence:
     def test_canonical_is_admissible(self):
         for h in range(1, 8):
             for bits in itertools.product((0, 1), repeat=h):
-                assert is_admissible(abs_from_binary_sequence(bits))
+                assert is_canonical(abs_from_binary_sequence(bits))
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
@@ -414,12 +434,12 @@ class TestAbsContainer:
     def test_position_and_symbol_at_agree(self):
         S = minimal_abs(parse_polygon("2,7+3,5"))
         for z, t in enumerate(S.order, start=1):
-            assert S.position(t) == z and S.symbol_at(z) == t
+            assert S.position(t) == z and S.order[z - 1] == t
 
     def test_lookup_errors(self):
         S = minimal_abs_segment(1, 1)
         ghost = Symbol(9, 9, 0)
-        for op in (S.position, S.pi, S.pi_inverse, S.delta):
+        for op in (S.position, S.pi, S.pi_inverse):
             with pytest.raises(SymbolNotInSequence):
                 op(ghost)
 

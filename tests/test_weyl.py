@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import reference
 from stratabound import weyl
 from reference import (
+    bruhat_leq,
     bruhat_leq_by_covers,
     cycle_type,
     generic_specializations_by_transpositions,
@@ -37,7 +38,6 @@ from stratabound.weyl import (
     _witness_exists,
     _word_of_type,
     binary_to_jw,
-    bruhat_leq,
     coxeter_length,
     generic_specializations_oracle,
     is_jw,
